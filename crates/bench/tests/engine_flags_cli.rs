@@ -1,0 +1,27 @@
+//! CLI contract for the campaign-engine flags every figure binary shares:
+//! an invalid value is a readable error and exit status 2, before any
+//! model is built — never a silently kept default.
+
+use std::process::{Command, Output};
+
+fn fig04(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_fig04_characterization"))
+        .args(args)
+        .output()
+        .expect("spawn fig04_characterization")
+}
+
+#[test]
+fn unknown_kernel_exits_2_with_a_typed_error() {
+    for args in [&["--kernel", "foo"][..], &["--kernel=foo"][..]] {
+        let out = fig04(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {err}");
+        assert!(
+            err.contains("error: invalid --kernel value \"foo\""),
+            "{args:?}: unreadable message: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: panicked: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+    }
+}

@@ -475,7 +475,7 @@ impl CampaignOptions {
                         })?
                     };
                 }
-                "--kernel" => opts.set_kernel_arg(&value),
+                "--kernel" => opts.set_kernel_arg(&value)?,
                 "--estimator" => {
                     opts.estimator = match value.as_str() {
                         "single" => EstimatorKind::Single,
@@ -563,13 +563,19 @@ impl CampaignOptions {
         Ok(opts)
     }
 
-    fn set_kernel_arg(&mut self, v: &str) {
-        match v {
-            "scalar" => self.kernel = CampaignKernel::Scalar,
-            "batched" => self.kernel = CampaignKernel::Batched,
-            "compiled" => self.kernel = CampaignKernel::Compiled,
-            other => eprintln!("ignoring unknown --kernel value {other:?}"),
-        }
+    fn set_kernel_arg(&mut self, v: &str) -> Result<(), String> {
+        self.kernel = match v {
+            "scalar" => CampaignKernel::Scalar,
+            "batched" => CampaignKernel::Batched,
+            "compiled" => CampaignKernel::Compiled,
+            other => {
+                return Err(format!(
+                    "invalid --kernel value {other:?}: expected \"scalar\", \"batched\" or \
+                     \"compiled\""
+                ))
+            }
+        };
+        Ok(())
     }
 
     /// The concrete worker count (resolving `0` to the core count).
@@ -2311,13 +2317,18 @@ mod tests {
     fn kernel_arg_parses() {
         let mut opts = CampaignOptions::default();
         assert_eq!(opts.kernel, CampaignKernel::Compiled);
-        opts.set_kernel_arg("scalar");
+        opts.set_kernel_arg("scalar").unwrap();
         assert_eq!(opts.kernel, CampaignKernel::Scalar);
-        opts.set_kernel_arg("batched");
+        opts.set_kernel_arg("batched").unwrap();
         assert_eq!(opts.kernel, CampaignKernel::Batched);
-        opts.set_kernel_arg("compiled");
+        opts.set_kernel_arg("compiled").unwrap();
         assert_eq!(opts.kernel, CampaignKernel::Compiled);
-        opts.set_kernel_arg("bogus");
+        // An unknown kernel is an error, not a silently kept default.
+        for argv in [args(&["--kernel", "bogus"]), args(&["--kernel=bogus"])] {
+            let err = CampaignOptions::parse_args(argv).unwrap_err();
+            assert!(err.contains("--kernel") && err.contains("bogus"), "{err}");
+        }
+        assert!(opts.set_kernel_arg("bogus").is_err());
         assert_eq!(opts.kernel, CampaignKernel::Compiled);
     }
 

@@ -224,6 +224,40 @@ mod tests {
         assert_eq!(p.dff_kind(&model, rs), None);
     }
 
+    /// One fixture line: every [`crate::lifetime::BitCharacter`] field of
+    /// `bit`, floats in their exactly round-tripping `{:?}` spelling.
+    fn render_character(p: &Precharacterization, bit: MpuBit) -> String {
+        let c = p.registers.bit(bit);
+        let kind = match c.kind {
+            RegisterKind::Memory => "memory",
+            RegisterKind::Computation => "computation",
+        };
+        let samples: Vec<String> = c.samples.iter().map(|(l, k)| format!("{l}/{k}")).collect();
+        format!(
+            "{} {kind} {} {} {:?} {:?} {}",
+            bit.dff_name(),
+            c.lifetime,
+            c.contamination,
+            c.rs_flip_fraction,
+            c.rs_suppress_fraction,
+            samples.join(" ")
+        )
+    }
+
+    #[test]
+    fn register_characterization_is_pinned() {
+        let (_, p) = prechar();
+        let pinned: Vec<&str> = include_str!("../testdata/register_characterization.txt")
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .collect();
+        let bits = MpuBit::all();
+        assert_eq!(pinned.len(), bits.len());
+        for (&line, bit) in pinned.iter().zip(bits) {
+            assert_eq!(render_character(&p, bit), line);
+        }
+    }
+
     #[test]
     fn every_space_cell_has_a_lifetime_entry() {
         let (_, p) = prechar();

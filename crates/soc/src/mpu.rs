@@ -424,6 +424,63 @@ impl MpuState {
         let v = self.bit(bit);
         self.set_bit(bit, !v);
     }
+
+    /// Field-wise XOR: the set bits of the result are the architectural
+    /// bits in which the two states differ.
+    pub fn xor(&self, other: &MpuState) -> MpuState {
+        self.zip(other, |a, b| a ^ b)
+    }
+
+    /// Field-wise OR (accumulates [`MpuState::xor`] masks).
+    pub fn or(&self, other: &MpuState) -> MpuState {
+        self.zip(other, |a, b| a | b)
+    }
+
+    /// Number of set architectural bits (of a [`MpuState::xor`] mask: how
+    /// many bits differ).
+    pub fn count_ones(&self) -> u32 {
+        let c = &self.config;
+        u32::from(c.enable)
+            + c.regions
+                .iter()
+                .map(|r| r.base.count_ones() + r.limit.count_ones() + r.perms.count_ones())
+                .sum::<u32>()
+            + self.pipe_addr.count_ones()
+            + self.pipe_kind.count_ones()
+            + u32::from(self.pipe_user)
+            + u32::from(self.pipe_valid)
+            + u32::from(self.violation)
+            + u32::from(self.sticky_violation)
+            + self.sticky_addr.count_ones()
+            + self.sticky_kind.count_ones()
+    }
+
+    fn zip(&self, other: &MpuState, f: impl Fn(u16, u16) -> u16) -> MpuState {
+        let flag = |a: bool, b: bool| f(u16::from(a), u16::from(b)) & 1 == 1;
+        let byte = |a: u8, b: u8| f(u16::from(a), u16::from(b)) as u8;
+        let mut regions = self.config.regions;
+        for (r, o) in regions.iter_mut().zip(&other.config.regions) {
+            *r = MpuRegion {
+                base: f(r.base, o.base),
+                limit: f(r.limit, o.limit),
+                perms: byte(r.perms, o.perms),
+            };
+        }
+        MpuState {
+            config: MpuConfig {
+                enable: flag(self.config.enable, other.config.enable),
+                regions,
+            },
+            pipe_addr: f(self.pipe_addr, other.pipe_addr),
+            pipe_kind: byte(self.pipe_kind, other.pipe_kind),
+            pipe_user: flag(self.pipe_user, other.pipe_user),
+            pipe_valid: flag(self.pipe_valid, other.pipe_valid),
+            violation: flag(self.violation, other.violation),
+            sticky_violation: flag(self.sticky_violation, other.sticky_violation),
+            sticky_addr: f(self.sticky_addr, other.sticky_addr),
+            sticky_kind: byte(self.sticky_kind, other.sticky_kind),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -656,6 +713,28 @@ mod tests {
         mpu.pipe_addr = 0x1000;
         mpu.pipe_kind = 3;
         assert!(mpu.viol_comb());
+    }
+
+    #[test]
+    fn xor_mask_marks_exactly_the_differing_bits() {
+        let base = MpuState {
+            config: open_config(),
+            pipe_kind: 2,
+            sticky_addr: 0x7000,
+            ..Default::default()
+        };
+        let all = MpuBit::all();
+        let mut acc = MpuState::default();
+        for (i, &bit) in all.iter().enumerate() {
+            let mut flipped = base;
+            flipped.toggle_bit(bit);
+            let mask = flipped.xor(&base);
+            assert_eq!(mask.count_ones(), 1, "{bit:?}");
+            assert!(mask.bit(bit), "{bit:?}");
+            acc = acc.or(&mask);
+            assert_eq!(acc.count_ones(), i as u32 + 1, "{bit:?}");
+        }
+        assert_eq!(base.xor(&base), MpuState::default());
     }
 
     #[test]

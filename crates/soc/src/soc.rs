@@ -421,8 +421,10 @@ fn fold_pending(p: Option<Pending>, fold: &mut impl FnMut(u64)) {
     fold(data | 1 << 32);
 }
 
-/// Map a byte address in the MPU configuration window to its word index.
-fn cfg_index(addr: u16) -> Option<u8> {
+/// Map a byte address in the MPU configuration window to its word index
+/// (the [`CfgWrite`] index that [`MpuState::cfg_read`] answers a bus read
+/// with).
+pub fn cfg_index(addr: u16) -> Option<u8> {
     let a = addr & !3;
     if !(MPU_CFG_BASE..=MPU_CFG_BASE + 4 * u16::from(CFG_ENABLE_INDEX)).contains(&a) {
         return None;
