@@ -11,17 +11,22 @@ fn fig04(args: &[&str]) -> Output {
         .expect("spawn fig04_characterization")
 }
 
+/// `batched` names the removed 64-lane kernel: it is an unknown kernel
+/// like any other, not an alias for a surviving one.
 #[test]
 fn unknown_kernel_exits_2_with_a_typed_error() {
-    for args in [&["--kernel", "foo"][..], &["--kernel=foo"][..]] {
-        let out = fig04(args);
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {err}");
-        assert!(
-            err.contains("error: invalid --kernel value \"foo\""),
-            "{args:?}: unreadable message: {err}"
-        );
-        assert!(!err.contains("panicked"), "{args:?}: panicked: {err}");
-        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+    for bad in ["foo", "batched"] {
+        let inline = format!("--kernel={bad}");
+        for args in [&["--kernel", bad][..], &[inline.as_str()][..]] {
+            let out = fig04(args);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {err}");
+            assert!(
+                err.contains(&format!("error: invalid --kernel value \"{bad}\"")),
+                "{args:?}: unreadable message: {err}"
+            );
+            assert!(!err.contains("panicked"), "{args:?}: panicked: {err}");
+            assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Batched campaign chunk execution over the 64-lane transient kernel.
+//! Packed campaign chunk execution over the 256-lane compiled kernel.
 //!
 //! One chunk of runs is executed in three phases:
 //!
@@ -8,9 +8,10 @@
 //! 2. **Strike** (packed): in-run samples are stratified by injection
 //!    cycle (sorted by `(T_e, run_index)` so runs sharing a frame land in
 //!    the same lane batch), grouped into batches of up to
-//!    [`LANES`](xlmc_gatesim::LANES) lanes, and propagated through
-//!    [`TransientSim::strike_batch_with`](xlmc_gatesim::transient::TransientSim)
-//!    in one worklist pass per batch.
+//!    [`WIDE_LANES`] lanes, and propagated through
+//!    [`TransientSim::strike_compiled_with`](xlmc_gatesim::transient::TransientSim)
+//!    in one sweep of the netlist's levelized
+//!    [`GateProgram`] per batch.
 //! 3. **Conclude + fold** (scalar): each lane's latched pattern goes
 //!    through the unchanged hardening/classification/resume pipeline with
 //!    its own RNG, and the per-run results are folded into the chunk
@@ -21,13 +22,12 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use xlmc_fault::{AttackSample, LaneStrikes};
+use xlmc_fault::{AttackSample, DoubleGlitch, LaneStrikes};
 use xlmc_gatesim::{
-    BatchLane, BatchStrikeOutcome, BatchTransientScratch, CompiledStrikeOutcome,
-    CompiledTransientScratch, CycleValues, StrikeOutcome, TransientScratch, WideMask, LANES,
-    WIDE_LANES,
+    BatchLane, CompiledStrikeOutcome, CompiledTransientScratch, CycleValues, StrikeOutcome,
+    TransientScratch, WideMask, LANE_WORDS, WIDE_LANES,
 };
-use xlmc_netlist::GateId;
+use xlmc_netlist::{GateId, GateProgram};
 use xlmc_soc::MpuBit;
 
 use crate::estimator::{fold_run, CampaignKernel, ChunkPartial, RunObs};
@@ -114,7 +114,7 @@ impl RunRecord {
     }
 }
 
-/// Reusable per-worker buffers for [`run_chunk_batched`]. Like
+/// Reusable per-worker buffers for [`run_chunk_compiled`]. Like
 /// [`FlowScratch`](crate::flow::FlowScratch), the RTL fast-forward state is
 /// valid against one `(model, evaluation, prechar)` triple only.
 #[derive(Default)]
@@ -124,17 +124,14 @@ pub(crate) struct BatchChunkScratch {
     /// In-chunk indices of in-run samples, sorted by `(T_e, index)`.
     order: Vec<u32>,
     lane_strikes: LaneStrikes,
-    transient: BatchTransientScratch,
-    strike_out: BatchStrikeOutcome,
+    transient: CompiledTransientScratch,
+    strike_out: CompiledStrikeOutcome,
     faulty_regs: Vec<GateId>,
     faulty_bits: Vec<MpuBit>,
     records: Vec<RunRecord>,
     ff: RtlFastForward,
     /// Per-worker unlocked mirror of the shared conclusion memo.
     front: ConclusionFront,
-    /// Compiled-kernel buffers (used by [`run_chunk_compiled`] only).
-    ctransient: CompiledTransientScratch,
-    cstrike_out: CompiledStrikeOutcome,
     /// Wall-clock latency of each packed transient sweep — pure
     /// telemetry, harvested per chunk into the chunk partial.
     sweep_hist: LatencyHist,
@@ -187,11 +184,11 @@ impl BatchChunkScratch {
     }
 }
 
-/// Phase 1 shared by both packed kernels: scalar draws identical to the
-/// scalar engine, then stratification by injection cycle. Same-frame runs
-/// share batches (fewer value groups per batch), and the `(T_e, index)`
-/// sort key keeps the grouping a pure function of the chunk contents —
-/// independent of threads and lane assignment.
+/// Phase 1: scalar draws identical to the scalar engine, then
+/// stratification by injection cycle. Same-frame runs share batches (fewer
+/// value groups per batch), and the `(T_e, index)` sort key keeps the
+/// grouping a pure function of the chunk contents — independent of
+/// threads and lane assignment.
 fn draw_and_stratify(
     runner: &FaultRunner<'_>,
     strategy: &dyn SamplingStrategy,
@@ -236,129 +233,6 @@ fn draw_and_stratify(
         .sort_unstable_by_key(|&i| (te[i as usize].unwrap(), i));
 }
 
-/// Execute runs `start..end` through the 64-lane batched kernel.
-///
-/// Produces the same [`ChunkPartial`] as the scalar
-/// [`run_chunk`](crate::estimator) bit-for-bit: per-run samples, weights,
-/// strike outcomes, hardening draws and the fold order are all identical;
-/// only the transient propagation is shared across lanes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chunk_batched(
-    runner: &FaultRunner<'_>,
-    strategy: &dyn SamplingStrategy,
-    seed: u64,
-    start: usize,
-    end: usize,
-    scratch: &mut BatchChunkScratch,
-    cycles: &SharedCycleCache,
-    memo: &SharedConclusionMemo,
-    ctr: &mut CounterScratch,
-    record_provenance: bool,
-    sink: &TraceSink,
-    tid: u32,
-) -> ChunkPartial {
-    ctr.begin_chunk();
-    let m = end - start;
-    let draw_span = sink.span_on(tid, "chunk", "draw");
-    draw_and_stratify(runner, strategy, seed, start, end, scratch);
-    drop(draw_span);
-
-    // Phase 2 + 3: strike each batch in one packed pass, conclude per lane.
-    let period = runner.model.transient.config().clock_period_ps;
-    let netlist = runner.model.mpu.netlist();
-    let mut kc = KernelCounters::default();
-    for batch in scratch.order.chunks(LANES) {
-        let strike_span = sink.span_on(tid, "chunk", "strike");
-        scratch.lane_strikes.clear();
-        for &ri in batch {
-            let ri = ri as usize;
-            // The second-spot entropy word comes off the run's own stream
-            // here — the same stream position as the scalar engine, which
-            // draws it right after the primary spot query and before the
-            // hardening draws in `conclude_with`.
-            let spot2 = runner
-                .multi_fault
-                .map(|mf| mf.second_spot(scratch.draws[ri].rng.next_u64()));
-            scratch.lane_strikes.push_sample_with(
-                &scratch.draws[ri].sample,
-                spot2.as_ref(),
-                &runner.model.placement,
-                period,
-            );
-        }
-        let mut groups: Vec<(u64, &CycleValues)> = Vec::new();
-        let mut cur_te = scratch.te[batch[0] as usize].unwrap();
-        let mut mask = 0u64;
-        for (lane, &ri) in batch.iter().enumerate() {
-            let te = scratch.te[ri as usize].unwrap();
-            if te != cur_te {
-                groups.push((mask, cycles.get(runner, cur_te)));
-                cur_te = te;
-                mask = 0;
-            }
-            mask |= 1u64 << lane;
-        }
-        groups.push((mask, cycles.get(runner, cur_te)));
-        let lanes: Vec<BatchLane<'_>> = (0..batch.len())
-            .map(|l| BatchLane {
-                struck: scratch.lane_strikes.struck(l),
-                strike_time_ps: scratch.lane_strikes.strike_time_ps(l),
-            })
-            .collect();
-        let t_sweep = Instant::now();
-        runner.model.transient.strike_batch_with(
-            netlist,
-            &groups,
-            &lanes,
-            &mut scratch.transient,
-            &mut scratch.strike_out,
-        );
-        scratch.sweep_hist.record(t_sweep.elapsed().as_secs_f64());
-        drop(lanes);
-        kc.lane_batches += 1;
-        kc.lanes_occupied += batch.len();
-        kc.frame_groups += groups.len();
-        kc.gates_visited += scratch.strike_out.gates_visited();
-        drop(strike_span);
-
-        let _conclude_span = sink.span_on(tid, "chunk", "conclude");
-        for (lane, &ri) in batch.iter().enumerate() {
-            let ri = ri as usize;
-            let te = scratch.te[ri].unwrap();
-            scratch
-                .strike_out
-                .faulty_registers_into(lane, &mut scratch.faulty_regs);
-            scratch.faulty_bits.clear();
-            scratch.faulty_bits.extend(
-                scratch
-                    .faulty_regs
-                    .iter()
-                    .filter_map(|&d| runner.model.mpu.bit_of(d)),
-            );
-            let view = runner.conclude_with(
-                te,
-                &mut scratch.draws[ri].rng,
-                &mut scratch.faulty_bits,
-                &mut scratch.ff,
-                memo,
-                Some(&mut scratch.front),
-            );
-            let rec = &mut scratch.records[ri];
-            rec.success = view.success;
-            rec.class = view.class;
-            rec.analytic = view.analytic;
-            rec.bits.clear();
-            rec.bits.extend_from_slice(view.faulty_bits);
-            rec.pulses = scratch.strike_out.pulses_propagated(lane);
-        }
-    }
-
-    // Fold in run-index order: the Welford push sequence — and the counter
-    // fold — must match the scalar engine exactly.
-    let _fold_span = sink.span_on(tid, "chunk", "fold");
-    fold_records(scratch, ctr, start, m, kc, record_provenance)
-}
-
 /// Fold the chunk's buffered records into a partial, in run-index order.
 fn fold_records(
     scratch: &mut BatchChunkScratch,
@@ -395,14 +269,77 @@ fn fold_records(
     p
 }
 
+/// Phase 2 for one lane batch: pack each lane's struck cells, group the
+/// consecutive-`T_e` lanes into [`WideMask`]s (the stratify sort made
+/// equal cycles contiguous) and propagate the batch in one compiled sweep
+/// into `scratch.strike_out`. With `multi_fault`, each lane's second-spot
+/// entropy word comes off the run's own stream here — the same stream
+/// position as the scalar engine, which draws it right after the primary
+/// spot query and before the hardening draws in `conclude_with`.
+fn strike_batch(
+    runner: &FaultRunner<'_>,
+    program: &GateProgram,
+    batch: &[u32],
+    multi_fault: Option<&DoubleGlitch>,
+    scratch: &mut BatchChunkScratch,
+    cycles: &SharedCycleCache,
+    kc: &mut KernelCounters,
+) {
+    let period = runner.model.transient.config().clock_period_ps;
+    scratch.lane_strikes.clear();
+    for &ri in batch {
+        let ri = ri as usize;
+        let spot2 = multi_fault.map(|mf| mf.second_spot(scratch.draws[ri].rng.next_u64()));
+        scratch.lane_strikes.push_sample_with(
+            &scratch.draws[ri].sample,
+            spot2.as_ref(),
+            &runner.model.placement,
+            period,
+        );
+    }
+    let mut groups: Vec<(WideMask, &CycleValues)> = Vec::new();
+    let mut cur_te = scratch.te[batch[0] as usize].unwrap();
+    let mut mask: WideMask = [0; LANE_WORDS];
+    for (lane, &ri) in batch.iter().enumerate() {
+        let te = scratch.te[ri as usize].unwrap();
+        if te != cur_te {
+            groups.push((mask, cycles.get(runner, cur_te)));
+            cur_te = te;
+            mask = [0; LANE_WORDS];
+        }
+        mask[lane / 64] |= 1u64 << (lane % 64);
+    }
+    groups.push((mask, cycles.get(runner, cur_te)));
+    let lanes: Vec<BatchLane<'_>> = (0..batch.len())
+        .map(|l| BatchLane {
+            struck: scratch.lane_strikes.struck(l),
+            strike_time_ps: scratch.lane_strikes.strike_time_ps(l),
+        })
+        .collect();
+    let t_sweep = Instant::now();
+    runner.model.transient.strike_compiled_with(
+        runner.model.mpu.netlist(),
+        program,
+        &groups,
+        &lanes,
+        &mut scratch.transient,
+        &mut scratch.strike_out,
+    );
+    scratch.sweep_hist.record(t_sweep.elapsed().as_secs_f64());
+    kc.lane_batches += 1;
+    kc.lanes_occupied += batch.len();
+    kc.frame_groups += groups.len();
+    kc.gates_visited += scratch.strike_out.gates_visited();
+}
+
 /// Execute runs `start..end` through the 256-wide compiled-program kernel.
 ///
-/// Identical phase structure to [`run_chunk_batched`], but the strike
-/// phase packs up to [`WIDE_LANES`] runs per sweep of the netlist's
-/// levelized [`GateProgram`](xlmc_netlist::GateProgram) — a straight-line
-/// opcode loop over flat arrays instead of per-cell worklist dispatch.
-/// Per-run results, counters and the fold order are bit-identical to both
-/// other kernels.
+/// Produces the same [`ChunkPartial`] as the scalar
+/// [`run_chunk`](crate::estimator) bit-for-bit: per-run samples, weights,
+/// strike outcomes, hardening draws and the fold order are all identical;
+/// only the transient propagation is shared across lanes, up to
+/// [`WIDE_LANES`] runs per sweep of the netlist's levelized
+/// [`GateProgram`] — a straight-line opcode loop over flat arrays.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_chunk_compiled(
     runner: &FaultRunner<'_>,
@@ -424,67 +361,26 @@ pub(crate) fn run_chunk_compiled(
     draw_and_stratify(runner, strategy, seed, start, end, scratch);
     drop(draw_span);
 
-    let period = runner.model.transient.config().clock_period_ps;
-    let netlist = runner.model.mpu.netlist();
-    let program = netlist
+    // Phase 2 + 3: strike each batch in one packed sweep, conclude per lane.
+    let program = runner
+        .model
+        .mpu
+        .netlist()
         .program()
         .expect("model netlist was levelized at construction");
+    let order = std::mem::take(&mut scratch.order);
     let mut kc = KernelCounters::default();
-    for batch in scratch.order.chunks(WIDE_LANES) {
+    for batch in order.chunks(WIDE_LANES) {
         let strike_span = sink.span_on(tid, "chunk", "strike");
-        scratch.lane_strikes.clear();
-        for &ri in batch {
-            let ri = ri as usize;
-            // The second-spot entropy word comes off the run's own stream
-            // here — the same stream position as the scalar engine, which
-            // draws it right after the primary spot query and before the
-            // hardening draws in `conclude_with`.
-            let spot2 = runner
-                .multi_fault
-                .map(|mf| mf.second_spot(scratch.draws[ri].rng.next_u64()));
-            scratch.lane_strikes.push_sample_with(
-                &scratch.draws[ri].sample,
-                spot2.as_ref(),
-                &runner.model.placement,
-                period,
-            );
-        }
-        // Consecutive-`T_e` lane groups as 256-wide masks (the stratify
-        // sort made equal cycles contiguous).
-        let mut groups: Vec<(WideMask, &CycleValues)> = Vec::new();
-        let mut cur_te = scratch.te[batch[0] as usize].unwrap();
-        let mut mask: WideMask = [0; 4];
-        for (lane, &ri) in batch.iter().enumerate() {
-            let te = scratch.te[ri as usize].unwrap();
-            if te != cur_te {
-                groups.push((mask, cycles.get(runner, cur_te)));
-                cur_te = te;
-                mask = [0; 4];
-            }
-            mask[lane / 64] |= 1u64 << (lane % 64);
-        }
-        groups.push((mask, cycles.get(runner, cur_te)));
-        let lanes: Vec<BatchLane<'_>> = (0..batch.len())
-            .map(|l| BatchLane {
-                struck: scratch.lane_strikes.struck(l),
-                strike_time_ps: scratch.lane_strikes.strike_time_ps(l),
-            })
-            .collect();
-        let t_sweep = Instant::now();
-        runner.model.transient.strike_compiled_with(
-            netlist,
+        strike_batch(
+            runner,
             program,
-            &groups,
-            &lanes,
-            &mut scratch.ctransient,
-            &mut scratch.cstrike_out,
+            batch,
+            runner.multi_fault,
+            scratch,
+            cycles,
+            &mut kc,
         );
-        scratch.sweep_hist.record(t_sweep.elapsed().as_secs_f64());
-        drop(lanes);
-        kc.lane_batches += 1;
-        kc.lanes_occupied += batch.len();
-        kc.frame_groups += groups.len();
-        kc.gates_visited += scratch.cstrike_out.gates_visited();
         drop(strike_span);
 
         let _conclude_span = sink.span_on(tid, "chunk", "conclude");
@@ -492,7 +388,7 @@ pub(crate) fn run_chunk_compiled(
             let ri = ri as usize;
             let te = scratch.te[ri].unwrap();
             scratch
-                .cstrike_out
+                .strike_out
                 .faulty_registers_into(lane, &mut scratch.faulty_regs);
             scratch.faulty_bits.clear();
             scratch.faulty_bits.extend(
@@ -515,11 +411,13 @@ pub(crate) fn run_chunk_compiled(
             rec.analytic = view.analytic;
             rec.bits.clear();
             rec.bits.extend_from_slice(view.faulty_bits);
-            rec.pulses = scratch.cstrike_out.pulses_propagated(lane);
+            rec.pulses = scratch.strike_out.pulses_propagated(lane);
         }
     }
+    scratch.order = order;
 
-    // Fold in run-index order, exactly like the other kernels.
+    // Fold in run-index order: the Welford push sequence — and the counter
+    // fold — must match the scalar engine exactly.
     let _fold_span = sink.span_on(tid, "chunk", "fold");
     fold_records(scratch, ctr, start, m, kc, record_provenance)
 }
@@ -573,6 +471,9 @@ pub fn gate_path_bench(
 
     let period = runner.model.transient.config().clock_period_ps;
     let netlist = runner.model.mpu.netlist();
+    let program = netlist
+        .program()
+        .expect("model netlist was levelized at construction");
     let mut stransient = TransientScratch::default();
     let mut sout = StrikeOutcome::default();
     let mut faulty_regs: Vec<GateId> = Vec::new();
@@ -583,6 +484,7 @@ pub fn gate_path_bench(
         pulses: 0,
         faulty: 0,
     };
+    let order = std::mem::take(&mut scratch.order);
 
     let mut pass = |scratch: &mut BatchChunkScratch, checksum: Option<&mut GatePathBench>| {
         let mut sweeps = 0usize;
@@ -590,7 +492,7 @@ pub fn gate_path_bench(
         let mut faulty = 0u64;
         match kernel {
             CampaignKernel::Scalar => {
-                for &ri in &scratch.order {
+                for &ri in &order {
                     let ri = ri as usize;
                     let te = scratch.te[ri].unwrap();
                     scratch.lane_strikes.clear();
@@ -616,44 +518,10 @@ pub fn gate_path_bench(
                         .sum::<u64>();
                 }
             }
-            CampaignKernel::Batched => {
-                for batch in scratch.order.chunks(LANES) {
-                    scratch.lane_strikes.clear();
-                    for &ri in batch {
-                        scratch.lane_strikes.push_sample(
-                            &scratch.draws[ri as usize].sample,
-                            &runner.model.placement,
-                            period,
-                        );
-                    }
-                    let mut groups: Vec<(u64, &CycleValues)> = Vec::new();
-                    let mut cur_te = scratch.te[batch[0] as usize].unwrap();
-                    let mut mask = 0u64;
-                    for (lane, &ri) in batch.iter().enumerate() {
-                        let te = scratch.te[ri as usize].unwrap();
-                        if te != cur_te {
-                            groups.push((mask, cycles.get(runner, cur_te)));
-                            cur_te = te;
-                            mask = 0;
-                        }
-                        mask |= 1u64 << lane;
-                    }
-                    groups.push((mask, cycles.get(runner, cur_te)));
-                    let lanes: Vec<BatchLane<'_>> = (0..batch.len())
-                        .map(|l| BatchLane {
-                            struck: scratch.lane_strikes.struck(l),
-                            strike_time_ps: scratch.lane_strikes.strike_time_ps(l),
-                        })
-                        .collect();
-                    runner.model.transient.strike_batch_with(
-                        netlist,
-                        &groups,
-                        &lanes,
-                        &mut scratch.transient,
-                        &mut scratch.strike_out,
-                    );
-                    drop(lanes);
-                    sweeps += 1;
+            CampaignKernel::Compiled => {
+                let mut kc = KernelCounters::default();
+                for batch in order.chunks(WIDE_LANES) {
+                    strike_batch(runner, program, batch, None, scratch, &cycles, &mut kc);
                     for lane in 0..batch.len() {
                         pulses += scratch.strike_out.pulses_propagated(lane) as u64;
                         scratch
@@ -665,60 +533,7 @@ pub fn gate_path_bench(
                             .sum::<u64>();
                     }
                 }
-            }
-            CampaignKernel::Compiled => {
-                let program = netlist
-                    .program()
-                    .expect("model netlist was levelized at construction");
-                for batch in scratch.order.chunks(WIDE_LANES) {
-                    scratch.lane_strikes.clear();
-                    for &ri in batch {
-                        scratch.lane_strikes.push_sample(
-                            &scratch.draws[ri as usize].sample,
-                            &runner.model.placement,
-                            period,
-                        );
-                    }
-                    let mut groups: Vec<(WideMask, &CycleValues)> = Vec::new();
-                    let mut cur_te = scratch.te[batch[0] as usize].unwrap();
-                    let mut mask: WideMask = [0; 4];
-                    for (lane, &ri) in batch.iter().enumerate() {
-                        let te = scratch.te[ri as usize].unwrap();
-                        if te != cur_te {
-                            groups.push((mask, cycles.get(runner, cur_te)));
-                            cur_te = te;
-                            mask = [0; 4];
-                        }
-                        mask[lane / 64] |= 1u64 << (lane % 64);
-                    }
-                    groups.push((mask, cycles.get(runner, cur_te)));
-                    let lanes: Vec<BatchLane<'_>> = (0..batch.len())
-                        .map(|l| BatchLane {
-                            struck: scratch.lane_strikes.struck(l),
-                            strike_time_ps: scratch.lane_strikes.strike_time_ps(l),
-                        })
-                        .collect();
-                    runner.model.transient.strike_compiled_with(
-                        netlist,
-                        program,
-                        &groups,
-                        &lanes,
-                        &mut scratch.ctransient,
-                        &mut scratch.cstrike_out,
-                    );
-                    drop(lanes);
-                    sweeps += 1;
-                    for lane in 0..batch.len() {
-                        pulses += scratch.cstrike_out.pulses_propagated(lane) as u64;
-                        scratch
-                            .cstrike_out
-                            .faulty_registers_into(lane, &mut faulty_regs);
-                        faulty += faulty_regs
-                            .iter()
-                            .map(|g| g.index() as u64 + 1)
-                            .sum::<u64>();
-                    }
-                }
+                sweeps = kc.lane_batches;
             }
         }
         if let Some(b) = checksum {
@@ -794,12 +609,12 @@ mod tests {
     }
 
     /// The lane-equivalence property at system level: for every run of a
-    /// full chunk, the batched kernel's (outcome, weight) is bit-identical
-    /// to the scalar engine's — across all three sampling strategies, with
+    /// chunk, the compiled kernel's (outcome, weight) is bit-identical to
+    /// the scalar engine's — across all three sampling strategies, with
     /// and without the randomized hardening countermeasure (which exercises
     /// the per-lane RNG hand-off).
     #[test]
-    fn batched_chunk_runs_match_scalar_runs() {
+    fn compiled_chunk_runs_match_scalar_runs_across_strategies() {
         let f = fixture();
         let hardened = HardenedVariant::Uniform(HardenedSet::new(
             [xlmc_soc::MpuBit::Violation, xlmc_soc::MpuBit::Enable],
@@ -818,16 +633,16 @@ mod tests {
                     let n = 200;
                     let cache = SharedCycleCache::new(runner.eval.golden.cycles);
                     let memo = SharedConclusionMemo::default();
-                    let mut bscratch = BatchChunkScratch::default();
+                    let mut cscratch = BatchChunkScratch::default();
                     let mut ctr = CounterScratch::default();
                     let sink = TraceSink::disabled();
-                    run_chunk_batched(
+                    run_chunk_compiled(
                         &runner,
                         strat.as_ref(),
                         seed,
                         0,
                         n,
-                        &mut bscratch,
+                        &mut cscratch,
                         &cache,
                         &memo,
                         &mut ctr,
@@ -842,78 +657,20 @@ mod tests {
                         let sample = strat.draw(&mut rng);
                         let w = strat.weight(&sample);
                         let out = runner.run_with(&sample, &mut rng, &mut flow);
-                        let (bs, bc, ba, bbits, bw) = bscratch.recorded(i);
+                        let (cs, cc, ca, cbits, cw) = cscratch.recorded(i);
                         let ctx = format!(
                             "strategy {} seed {seed} run {i} hardened {}",
                             strat.name(),
                             hardening.is_some()
                         );
-                        assert_eq!(bs, out.success, "{ctx}");
-                        assert_eq!(bc, out.class, "{ctx}");
-                        assert_eq!(ba, out.analytic, "{ctx}");
-                        assert_eq!(bbits, out.faulty_bits, "{ctx}");
-                        assert!(bw == w, "{ctx}: weight {bw} != {w}");
+                        assert_eq!(cs, out.success, "{ctx}");
+                        assert_eq!(cc, out.class, "{ctx}");
+                        assert_eq!(ca, out.analytic, "{ctx}");
+                        assert_eq!(cbits, out.faulty_bits, "{ctx}");
+                        assert!(cw == w, "{ctx}: weight {cw} != {w}");
                     }
                 }
             }
-        }
-    }
-
-    /// The batched partial equals the scalar partial field by field (the
-    /// stats fold is the bit-identical aggregate of the per-run check
-    /// above — this pins the fold order too).
-    #[test]
-    fn batched_partial_matches_scalar_partial() {
-        let f = fixture();
-        let runner = FaultRunner {
-            model: &f.model,
-            eval: &f.eval,
-            prechar: &f.prechar,
-            hardening: None,
-            multi_fault: None,
-        };
-        let strat = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
-        let cache = SharedCycleCache::new(runner.eval.golden.cycles);
-        let memo = SharedConclusionMemo::default();
-        let mut bscratch = BatchChunkScratch::default();
-        let mut flow = FlowScratch::default();
-        let mut ctr = CounterScratch::default();
-        let sink = TraceSink::disabled();
-        // Also covers partial batches: 1, 63, 64, 65 runs.
-        for (start, len) in [(0usize, 1usize), (1, 63), (64, 64), (128, 65), (193, 128)] {
-            let b = run_chunk_batched(
-                &runner,
-                &strat,
-                9,
-                start,
-                start + len,
-                &mut bscratch,
-                &cache,
-                &memo,
-                &mut ctr,
-                false,
-                &sink,
-                0,
-            );
-            let s = crate::estimator::scalar_chunk_for_tests(
-                &runner,
-                &strat,
-                9,
-                start,
-                start + len,
-                &mut flow,
-            );
-            assert_eq!(b.stats.count(), s.stats.count(), "len {len}");
-            assert!(b.stats.mean() == s.stats.mean(), "len {len} mean");
-            assert!(b.stats.variance() == s.stats.variance(), "len {len} var");
-            assert_eq!(b.class_counts, s.class_counts, "len {len}");
-            assert_eq!(b.analytic_runs, s.analytic_runs, "len {len}");
-            assert_eq!(b.rtl_runs, s.rtl_runs, "len {len}");
-            assert_eq!(b.successes, s.successes, "len {len}");
-            assert_eq!(b.attribution, s.attribution, "len {len}");
-            // The chunk-local counter model is kernel-invariant too.
-            assert_eq!(b.counters, s.counters, "len {len}");
-            assert_eq!(b.first_success, s.first_success, "len {len}");
         }
     }
 
@@ -993,9 +750,9 @@ mod tests {
         }
     }
 
-    /// Under the double-glitch mode both packed kernels still reproduce
+    /// Under the double-glitch mode the compiled kernel still reproduces
     /// the scalar engine run by run: the second-spot entropy word is drawn
-    /// at the same per-run stream position in all three kernels, so lane
+    /// at the same per-run stream position in both kernels, so lane
     /// packing never perturbs the second strike (or the hardening draws
     /// that follow it on the same stream).
     #[test]
@@ -1018,60 +775,38 @@ mod tests {
             let strat = RandomSampling::new(fd.clone());
             let seed = 23u64;
             let n = 300;
-            for compiled in [false, true] {
-                let cache = SharedCycleCache::new(runner.eval.golden.cycles);
-                let memo = SharedConclusionMemo::default();
-                let mut scratch = BatchChunkScratch::default();
-                let mut ctr = CounterScratch::default();
-                let sink = TraceSink::disabled();
-                if compiled {
-                    run_chunk_compiled(
-                        &runner,
-                        &strat,
-                        seed,
-                        0,
-                        n,
-                        &mut scratch,
-                        &cache,
-                        &memo,
-                        &mut ctr,
-                        false,
-                        &sink,
-                        0,
-                    );
-                } else {
-                    run_chunk_batched(
-                        &runner,
-                        &strat,
-                        seed,
-                        0,
-                        n,
-                        &mut scratch,
-                        &cache,
-                        &memo,
-                        &mut ctr,
-                        false,
-                        &sink,
-                        0,
-                    );
-                }
-                let mut flow = FlowScratch::default();
-                for i in 0..n {
-                    let mut rng = SplitMix64::for_run(seed, i as u64);
-                    let sample = strat.draw(&mut rng);
-                    let w = strat.weight(&sample);
-                    let out = runner.run_with(&sample, &mut rng, &mut flow);
-                    let (bs, bc, ba, bbits, bw) = scratch.recorded(i);
-                    let ctx = format!(
-                        "compiled={compiled} hardened={} run {i}",
-                        hardening.is_some()
-                    );
-                    assert_eq!(bs, out.success, "{ctx}");
-                    assert_eq!(bc, out.class, "{ctx}");
-                    assert_eq!(ba, out.analytic, "{ctx}");
-                    assert_eq!(bbits, out.faulty_bits, "{ctx}");
-                    assert!(bw == w, "{ctx}: weight {bw} != {w}");
-                }
+            let cache = SharedCycleCache::new(runner.eval.golden.cycles);
+            let memo = SharedConclusionMemo::default();
+            let mut scratch = BatchChunkScratch::default();
+            let mut ctr = CounterScratch::default();
+            let sink = TraceSink::disabled();
+            run_chunk_compiled(
+                &runner,
+                &strat,
+                seed,
+                0,
+                n,
+                &mut scratch,
+                &cache,
+                &memo,
+                &mut ctr,
+                false,
+                &sink,
+                0,
+            );
+            let mut flow = FlowScratch::default();
+            for i in 0..n {
+                let mut rng = SplitMix64::for_run(seed, i as u64);
+                let sample = strat.draw(&mut rng);
+                let w = strat.weight(&sample);
+                let out = runner.run_with(&sample, &mut rng, &mut flow);
+                let (cs, cc, ca, cbits, cw) = scratch.recorded(i);
+                let ctx = format!("hardened={} run {i}", hardening.is_some());
+                assert_eq!(cs, out.success, "{ctx}");
+                assert_eq!(cc, out.class, "{ctx}");
+                assert_eq!(ca, out.analytic, "{ctx}");
+                assert_eq!(cbits, out.faulty_bits, "{ctx}");
+                assert!(cw == w, "{ctx}: weight {cw} != {w}");
             }
         }
     }

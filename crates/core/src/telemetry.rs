@@ -397,7 +397,6 @@ impl CampaignCheckpoint {
         }
         let kernel = match doc.get("kernel").and_then(JsonValue::as_str) {
             Some("scalar") => CampaignKernel::Scalar,
-            Some("batched") => CampaignKernel::Batched,
             Some("compiled") => CampaignKernel::Compiled,
             other => return Err(format!("invalid checkpoint kernel {other:?}")),
         };
@@ -798,8 +797,8 @@ mod tests {
     use super::*;
     use crate::estimator::StopReason;
 
-    #[test]
-    fn json_round_trips_checkpoint_bits_exactly() {
+    /// A checkpoint whose fields carry awkward bit patterns.
+    fn sample_checkpoint() -> CampaignCheckpoint {
         let mut attribution = BTreeMap::new();
         attribution.insert(MpuBit::Enable, 0.1 + 0.2); // a value with ugly bits
         attribution.insert(MpuBit::Base(1, 3), f64::MIN_POSITIVE);
@@ -807,12 +806,12 @@ mod tests {
         for x in [0.0, 1.25, 1.0 / 3.0, 7e-300] {
             stats.push(x);
         }
-        let ck = CampaignCheckpoint {
+        CampaignCheckpoint {
             seed: 0xDEAD_BEEF,
             requested_runs: 4096,
             chunk_runs: 512,
             strategy: "importance".to_owned(),
-            kernel: CampaignKernel::Batched,
+            kernel: CampaignKernel::Scalar,
             merged_chunks: 3,
             stats,
             w_sum: 1234.5678901234567,
@@ -864,7 +863,12 @@ mod tests {
                 level1_rtl: RunningStats::new(),
                 chunk_levels: vec![1, 0, 1, 0, 0, 0, 1],
             }),
-        };
+        }
+    }
+
+    #[test]
+    fn json_round_trips_checkpoint_bits_exactly() {
+        let ck = sample_checkpoint();
         let round = CampaignCheckpoint::from_json(&ck.to_json()).unwrap();
         assert_eq!(round, ck);
         let m = round.mlmc.as_ref().unwrap();
@@ -886,6 +890,17 @@ mod tests {
         for ((_, a), (_, b)) in round.boundaries.iter().zip(&ck.boundaries) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// A checkpoint written by the removed 64-lane batched kernel is
+    /// refused like any other unknown kernel name.
+    #[test]
+    fn checkpoint_rejects_the_removed_batched_kernel() {
+        let json = sample_checkpoint().to_json();
+        let batched = json.replace("\"kernel\": \"scalar\"", "\"kernel\": \"batched\"");
+        assert_ne!(batched, json, "the kernel field was rewritten");
+        let err = CampaignCheckpoint::from_json(&batched).unwrap_err();
+        assert!(err.contains("invalid checkpoint kernel"), "{err}");
     }
 
     #[test]

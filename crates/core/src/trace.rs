@@ -285,7 +285,7 @@ fn summarize(events: &[TraceEvent]) -> Vec<SpanSummary> {
 // ---------------------------------------------------------------------------
 
 /// Kernel-invariant hot-path counters, defined chunk-locally (see the
-/// module docs) so scalar and batched kernels at any thread count produce
+/// module docs) so scalar and compiled kernels at any thread count produce
 /// identical totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CampaignCounters {
@@ -356,19 +356,20 @@ impl CampaignCounters {
 }
 
 /// Kernel-shape counters: lane occupancy and frame stratification only
-/// exist for the batched kernel, and the gate-visit count depends on how
+/// exist for the compiled kernel, and the gate-visit count depends on how
 /// strikes are grouped. These are *not* part of the cross-kernel equality
 /// contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelCounters {
-    /// 64-lane batches dispatched (batched kernel only).
+    /// 256-lane sweeps dispatched (compiled kernel only).
     pub lane_batches: usize,
     /// Lanes occupied across all batches; mean occupancy is
     /// `lanes_occupied / lane_batches`.
     pub lanes_occupied: usize,
     /// Frame strata (distinct injection cycles per batch) encountered.
     pub frame_groups: usize,
-    /// Gates popped from the transient-propagation worklist.
+    /// Gates popped from the scalar worklist, or ops visited by the
+    /// compiled kernel's dirty-op scan.
     pub gates_visited: usize,
 }
 
@@ -394,7 +395,7 @@ impl KernelCounters {
 /// Per-worker scratch implementing the chunk-local counter model: reset at
 /// each chunk start, then fed every run in fold order. First occurrence of
 /// a key within the chunk is a miss, repeats are hits — a pure function of
-/// the chunk's run outcomes, so scalar (run-index order) and batched
+/// the chunk's run outcomes, so scalar (run-index order) and compiled
 /// (lane-batch order folded back to run-index order) agree exactly.
 #[derive(Default)]
 pub(crate) struct CounterScratch {

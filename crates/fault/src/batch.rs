@@ -1,7 +1,7 @@
-//! Batched strike construction: one spot query per lane, CSR storage.
+//! Packed strike construction: one spot query per lane, CSR storage.
 //!
-//! The 64-lane batched campaign kernel needs each lane's impacted-cell
-//! list alive at the same time. Building 64 separate `Vec`s per batch
+//! The packed campaign kernel needs each lane's impacted-cell list alive
+//! at the same time. Building 256 separate `Vec`s per batch
 //! would put the allocator back on the hot path, so the lanes share one
 //! flat CSR buffer: lane `l`'s cells are
 //! `cells[offsets[l] .. offsets[l + 1]]`, and the whole structure is

@@ -15,7 +15,7 @@
 //! * [`distribution`] — the attacker distribution `f_{T,P}` with exact
 //!   probability-mass evaluation (needed for importance-sampling weights),
 //! * [`sample`] — the concrete attack sample `(t, p)`,
-//! * [`batch`] — CSR-packed struck-cell lists for the 64-lane batched
+//! * [`batch`] — CSR-packed struck-cell lists for the packed (compiled)
 //!   campaign kernel (one spot query per lane, shared storage),
 //! * [`multifault`] — the SoK double-glitch mode: a second spot per run,
 //!   correlated in time, independent in space, drawn from a

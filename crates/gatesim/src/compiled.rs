@@ -1,34 +1,59 @@
 //! Compiled-program transient kernel: 256 strikes per straight-line sweep.
 //!
-//! Where [`crate::batch`] interprets the netlist gate-by-gate through a
-//! rank-ordered worklist (`BinaryHeap`, `Gate` pointer chases,
-//! `CellKind::eval_words` dispatch), this kernel evaluates the netlist's
-//! pre-compiled [`GateProgram`]: a structure-of-arrays straight-line
-//! program in topological order. Lanes widen from 64 to
-//! [`WIDE_LANES`] = 256 (`[u64; 4]` per net), packing four times as many
-//! Monte Carlo runs into every sweep, and the worklist becomes a dirty-op
-//! bitmask scanned in program order — set-bit iteration over a few words
-//! instead of heap pushes and pops, while still visiting only the union
-//! fanout cone of the struck cells.
+//! The campaign's Monte Carlo runs are independent trials over the *same*
+//! netlist, so the transient propagation of up to [`WIDE_LANES`] = 256
+//! runs packs into the bit lanes of `[u64; 4]` words exactly like the
+//! pre-characterization's bit-parallel logic evaluation
+//! ([`crate::bitparallel`]): lane `l` of every packed word belongs to run
+//! `l` of the batch. The kernel evaluates the netlist's pre-compiled
+//! [`GateProgram`], a structure-of-arrays straight-line program in
+//! topological order, and tracks pending work as a dirty-op bitmask
+//! scanned in program order, so one sweep visits only the union fanout
+//! cone of the struck cells and amortizes the traversal and the
+//! logical-masking evaluations across the whole batch. The per-lane
+//! electrical and latching-window timing (scalar `f64` state) is only
+//! touched for lanes whose pulse survives logical masking at that op.
 //!
 //! # Equivalence contract
 //!
-//! Lane `l` of a compiled sweep is **bit-identical** to
-//! [`TransientSim::strike_with`] with that lane's strike list, stable
-//! values and strike time, by the same argument as the 64-lane kernel
-//! (see `crate::batch`): the program order is a topological refinement of
-//! the worklist's rank induction, seeding follows the same cell rules,
-//! logical masking is the same packed nominal-vs-flipped comparison, and
-//! the electrical max-fold runs over the fanins in pin order with the
-//! identical `fold(0.0, f64::max)` seed and iterated attenuation. Only
-//! the batch-shape counters (`gates_visited`) depend on the kernel.
+//! For every lane `l`, the outcome is **bit-identical** to
+//! [`TransientSim::strike_with`] called with that lane's strike list,
+//! stable values and strike time:
+//!
+//! * the same gates are seeded, with the same initial pulse,
+//! * propagation visits gates in an order that refines the scalar
+//!   worklist's topological-rank induction (an op runs only after every
+//!   producer's pulses are final, and an op is a no-op in lanes it would
+//!   not have visited),
+//! * logical masking is the identical predicate: packed nominal fanin
+//!   words are XOR-flipped by each fanin's pulsing-lane mask, so bit `l`
+//!   of `nominal_out ^ flipped_out` equals the scalar `flipped != nominal`
+//!   test of lane `l`,
+//! * the electrical `max`-fold over pulsing fanins runs in pin order with
+//!   the same `fold(0.0, f64::max)` seed and the same *iterated*
+//!   attenuation subtraction (never an algebraically equal closed form),
+//! * the latching-window comparison and the sort/dedup of the faulty
+//!   register list are unchanged.
+//!
+//! Only the batch-shape counter (`gates_visited`) depends on the kernel.
+//! Lanes of one sweep may inject in *different* cycles: the caller passes
+//! the stable cycle values as `(lane_mask, &CycleValues)` groups and the
+//! kernel assembles per-net packed nominal words from them on demand.
 
-use xlmc_netlist::{GateProgram, NetClass, Netlist, Opcode};
+use xlmc_netlist::{GateId, GateProgram, NetClass, Netlist, Opcode};
 
-use crate::batch::BatchLane;
 use crate::cycle::CycleValues;
 use crate::transient::TransientSim;
-use xlmc_netlist::GateId;
+
+/// One lane's strike: the impacted cells and the particle-hit moment.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchLane<'a> {
+    /// The struck cells of this lane's run (the radiation spot's disc).
+    pub struck: &'a [GateId],
+    /// The particle-hit moment within the cycle, ps after the launching
+    /// clock edge.
+    pub strike_time_ps: f64,
+}
 
 /// Runs per compiled sweep: the lanes of a `[u64; 4]`.
 pub const WIDE_LANES: usize = 256;
@@ -461,7 +486,6 @@ fn eval_flips(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchStrikeOutcome, BatchTransientScratch};
     use crate::cycle::CycleSim;
     use crate::transient::{StrikeOutcome, TransientConfig, TransientScratch};
     use xlmc_netlist::{CellKind, GateId, Netlist};
@@ -610,73 +634,6 @@ mod tests {
                 let mut got = Vec::new();
                 cout.faulty_registers_into(l, &mut got);
                 assert_eq!(got, want, "seed {seed} lane {l} faulty registers");
-            }
-        }
-    }
-
-    /// Compiled and 64-lane batched kernels agree lane-for-lane when both
-    /// can run the batch (≤ 64 lanes).
-    #[test]
-    fn compiled_matches_batched_kernel() {
-        for seed in [11u64, 29, 47] {
-            let n = random_netlist(seed * 0x51F0, 5, 90);
-            let program = n.program().unwrap();
-            let sim = CycleSim::new(&n).unwrap();
-            let dffs = n.dffs().len();
-            let mut rng = Xs(seed | 1);
-            let vec_for = |r: &mut Xs, len: usize| -> Vec<bool> {
-                (0..len).map(|_| r.next() & 1 == 1).collect()
-            };
-            let cv = sim.eval(&n, &vec_for(&mut rng, dffs), &vec_for(&mut rng, 5));
-            let ts = TransientSim::new(&n, tight()).unwrap();
-            let candidates: Vec<GateId> = n.iter().map(|(id, _)| id).collect();
-            let strikes: Vec<Vec<GateId>> = (0..64)
-                .map(|_| {
-                    (0..rng.below(4))
-                        .map(|_| candidates[rng.below(candidates.len())])
-                        .collect()
-                })
-                .collect();
-            let lanes: Vec<BatchLane> = strikes
-                .iter()
-                .map(|cells| BatchLane {
-                    struck: cells,
-                    strike_time_ps: 450.0,
-                })
-                .collect();
-
-            let mut bscratch = BatchTransientScratch::default();
-            let mut bout = BatchStrikeOutcome::default();
-            ts.strike_batch_with(&n, &[(!0u64, &cv)], &lanes, &mut bscratch, &mut bout);
-
-            let mut cscratch = CompiledTransientScratch::default();
-            let mut cout = CompiledStrikeOutcome::default();
-            let wide_mask: WideMask = [!0u64, 0, 0, 0];
-            ts.strike_compiled_with(
-                &n,
-                program,
-                &[(wide_mask, &cv)],
-                &lanes,
-                &mut cscratch,
-                &mut cout,
-            );
-
-            for l in 0..64 {
-                assert_eq!(
-                    cout.latched_dffs(l),
-                    bout.latched_dffs(l),
-                    "seed {seed} lane {l}"
-                );
-                assert_eq!(
-                    cout.upset_dffs(l),
-                    bout.upset_dffs(l),
-                    "seed {seed} lane {l}"
-                );
-                assert_eq!(
-                    cout.pulses_propagated(l),
-                    bout.pulses_propagated(l),
-                    "seed {seed} lane {l}"
-                );
             }
         }
     }

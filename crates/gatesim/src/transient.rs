@@ -175,7 +175,7 @@ impl TransientSim {
     }
 
     /// Enqueue the combinational consumers of `g` that are not yet queued.
-    pub(crate) fn enqueue_fanouts(
+    fn enqueue_fanouts(
         &self,
         g: GateId,
         queue: &mut BinaryHeap<Reverse<(u32, GateId)>>,

@@ -54,8 +54,8 @@ fn fixture() -> &'static Fixture {
 
 /// Run the pinned campaign and compare against the recorded golden.
 ///
-/// Runs all three kernels: the goldens must hold for the default compiled
-/// kernel, the batched kernel *and* the scalar reference, which keeps the
+/// Runs both kernels: the goldens must hold for the default compiled
+/// kernel *and* the scalar reference, which keeps the
 /// recording itself honest (a golden that only one kernel reproduces means
 /// the equivalence contract broke, not the statistics).
 fn check(strategy: &dyn SamplingStrategy, golden_ssf: u64, golden_var: u64) {
@@ -67,11 +67,7 @@ fn check(strategy: &dyn SamplingStrategy, golden_ssf: u64, golden_var: u64) {
         hardening: None,
         multi_fault: None,
     };
-    for kernel in [
-        CampaignKernel::Compiled,
-        CampaignKernel::Batched,
-        CampaignKernel::Scalar,
-    ] {
+    for kernel in [CampaignKernel::Compiled, CampaignKernel::Scalar] {
         for fast_forward in [true, false] {
             let opts = CampaignOptions {
                 fast_forward,
@@ -165,11 +161,7 @@ fn mlmc_importance_campaign_matches_golden() {
     const GOLDEN_SSF: u64 = 0x3f92972a4f36d16e;
     const GOLDEN_VAR: u64 = 0x3f7d53b8375bf36d;
     const GOLDEN_MEAN1_DIFF: u64 = 0x0000000000000000;
-    for kernel in [
-        CampaignKernel::Compiled,
-        CampaignKernel::Batched,
-        CampaignKernel::Scalar,
-    ] {
+    for kernel in [CampaignKernel::Compiled, CampaignKernel::Scalar] {
         for fast_forward in [true, false] {
             for threads in [1, 4] {
                 let opts = CampaignOptions {
@@ -222,7 +214,7 @@ fn full_importance_campaign_matches_golden() {
 /// The double-glitch campaign keeps the engine's determinism contract:
 /// the secondary strike's entropy word is split off each run's own stream,
 /// so the full `(ssf, variance, successes)` triple is bit-identical across
-/// all three kernels and both thread counts. The first configuration acts
+/// both kernels and both thread counts. The first configuration acts
 /// as the reference — a kernel- or thread-dependent divergence in either
 /// strike draw shows up as a bit diff here.
 #[test]
@@ -246,11 +238,7 @@ fn double_glitch_campaign_is_bit_identical_across_kernels_and_threads() {
         multi_fault: Some(&glitch),
     };
     let mut reference: Option<(u64, u64, usize)> = None;
-    for kernel in [
-        CampaignKernel::Compiled,
-        CampaignKernel::Batched,
-        CampaignKernel::Scalar,
-    ] {
+    for kernel in [CampaignKernel::Compiled, CampaignKernel::Scalar] {
         for threads in [1usize, 4] {
             let opts = CampaignOptions {
                 threads,

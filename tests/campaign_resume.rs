@@ -21,6 +21,7 @@ use xlmc::estimator::{
     StopReason, EARLY_STOP_MIN_RUNS,
 };
 use xlmc::flow::FaultRunner;
+use xlmc::harden::{DupConfigVote, HardenedVariant};
 use xlmc::sampling::{
     baseline_distribution, ExperimentConfig, ImportanceSampling, RandomSampling, SamplingStrategy,
 };
@@ -202,15 +203,6 @@ fn resume_is_bit_identical_scalar_kernel() {
 }
 
 #[test]
-fn resume_is_bit_identical_batched_kernel() {
-    let f = fixture();
-    let strategy = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
-    for threads in [1, 4] {
-        check_resume_equivalence(&strategy, CampaignKernel::Batched, threads);
-    }
-}
-
-#[test]
 fn resume_is_bit_identical_compiled_kernel() {
     let f = fixture();
     let strategy = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
@@ -234,7 +226,6 @@ fn resume_is_bit_identical_under_importance_sampling() {
         f.cfg.radius_options.clone(),
     );
     check_resume_equivalence(&strategy, CampaignKernel::Compiled, 4);
-    check_resume_equivalence(&strategy, CampaignKernel::Batched, 4);
     check_resume_equivalence(&strategy, CampaignKernel::Scalar, 1);
 }
 
@@ -349,11 +340,7 @@ fn target_eps_stop_is_deterministic_across_threads_and_kernels() {
     let eps = 0.05;
 
     let mut results: Vec<(String, CampaignResult)> = Vec::new();
-    for kernel in [
-        CampaignKernel::Scalar,
-        CampaignKernel::Batched,
-        CampaignKernel::Compiled,
-    ] {
+    for kernel in [CampaignKernel::Scalar, CampaignKernel::Compiled] {
         for threads in [1, 4] {
             let metrics = scratch(&format!("earlystop-{kernel:?}-t{threads}.json"));
             let _ = std::fs::remove_file(&metrics);
@@ -397,4 +384,54 @@ fn target_eps_stop_is_deterministic_across_threads_and_kernels() {
             "early stop diverged between {first_tag} and {tag}"
         );
     }
+}
+
+/// A cell so well defended that no run succeeds within the budget
+/// (instruction skip against the voted duplicated MPU config) must not
+/// declare convergence. With zero successes the sample variance is 0, so
+/// the plug-in LLN bound is met trivially at the first boundary checked;
+/// the stop rule waits for a first success instead, and the campaign runs
+/// to its budget and reports the ordinary completion reason.
+#[test]
+fn zero_success_campaign_runs_to_its_budget() {
+    let f = fixture();
+    let eval = Evaluation::new(workloads::instruction_skip()).unwrap();
+    let vote = HardenedVariant::DupConfigVote(DupConfigVote::new());
+    let r = FaultRunner {
+        model: &f.model,
+        eval: &eval,
+        prechar: &f.prechar,
+        hardening: Some(&vote),
+        multi_fault: None,
+    };
+    let strategy = ImportanceSampling::new(
+        baseline_distribution(&f.model, &f.cfg),
+        &f.model,
+        &f.prechar,
+        f.cfg.alpha,
+        f.cfg.beta,
+        f.cfg.radius_options.clone(),
+    );
+    let n = 2 * EARLY_STOP_MIN_RUNS;
+    let full = run_campaign_with(&r, &strategy, n, SEED, &CampaignOptions::default());
+    assert_eq!(full.successes, 0, "the cell must stay success-free");
+    assert_eq!(full.sample_variance, 0.0);
+
+    let metrics = scratch("zero-success.json");
+    let _ = std::fs::remove_file(&metrics);
+    let opts = CampaignOptions {
+        target_eps: Some(1e-5),
+        metrics_path: Some(metrics.clone()),
+        ..CampaignOptions::default()
+    };
+    let res = run_campaign_with(&r, &strategy, n, SEED, &opts);
+    assert_eq!(res.stop, StopReason::Completed);
+    assert_eq!(res.n, n, "a zero-success run must use its whole budget");
+    assert_eq!(res, full);
+    let doc = check_metrics_schema(&metrics);
+    assert_eq!(
+        doc.get("stop_reason").and_then(JsonValue::as_str),
+        Some("completed")
+    );
+    let _ = std::fs::remove_file(&metrics);
 }

@@ -5,7 +5,7 @@
 //! capture enabled returns the bit-identical `CampaignResult` of an
 //! untraced run. Second, the hot-path counters are **schedule-invariant**:
 //! defined chunk-locally, their totals are a pure function of
-//! `(seed, n, strategy)` — identical between the scalar and batched kernels
+//! `(seed, n, strategy)` — identical between the scalar and compiled kernels
 //! and at any thread count (only the kernel-shape counters differ by
 //! kernel). Third, provenance **replays**: any recorded run, re-derived
 //! solo from `SplitMix64::for_run(seed, i)`, reproduces the campaign's
@@ -105,11 +105,7 @@ fn counter_totals_are_kernel_and_thread_invariant() {
     let r = runner(f);
     let strategy = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
     let mut results = Vec::new();
-    for kernel in [
-        CampaignKernel::Scalar,
-        CampaignKernel::Batched,
-        CampaignKernel::Compiled,
-    ] {
+    for kernel in [CampaignKernel::Scalar, CampaignKernel::Compiled] {
         for threads in [1usize, 4] {
             let opts = CampaignOptions {
                 threads,
@@ -130,17 +126,18 @@ fn counter_totals_are_kernel_and_thread_invariant() {
             "first_success diverged between {first_tag} and {tag}"
         );
     }
-    // The kernel-shape counters DO describe the batched kernel: a full
-    // batched campaign packs lanes and groups frames.
-    let batched = &results.last().unwrap().1;
-    assert!(batched.kernel_counters.lane_batches > 0);
+    // The kernel-shape counters DO describe the packed kernel: a full
+    // compiled campaign packs lanes and groups frames.
+    let (ref tag, ref compiled) = results[results.len() - 1];
+    assert!(tag.starts_with("Compiled"), "{tag}");
+    assert!(compiled.kernel_counters.lane_batches > 0);
     // Every run that lands inside the benchmark occupies a lane.
     assert_eq!(
-        batched.kernel_counters.lanes_occupied + batched.counters.out_of_run,
+        compiled.kernel_counters.lanes_occupied + compiled.counters.out_of_run,
         RUNS
     );
-    assert!(batched.kernel_counters.frame_groups >= batched.kernel_counters.lane_batches);
-    assert!(batched.kernel_counters.mean_lane_occupancy() > 1.0);
+    assert!(compiled.kernel_counters.frame_groups >= compiled.kernel_counters.lane_batches);
+    assert!(compiled.kernel_counters.mean_lane_occupancy() > 1.0);
 }
 
 #[test]
