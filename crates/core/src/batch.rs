@@ -31,8 +31,7 @@ use xlmc_netlist::{GateId, GateProgram};
 use xlmc_soc::MpuBit;
 
 use crate::estimator::{fold_run, CampaignKernel, ChunkPartial, RunObs};
-use crate::fastforward::{ConclusionFront, FastForwardStats, RtlFastForward, SharedConclusionMemo};
-use crate::flow::{FaultRunner, StrikeClass};
+use crate::flow::{FaultRunner, FlowScratch, StrikeClass};
 use crate::metrics::{LatencyHist, LatencyShard};
 use crate::rng::SplitMix64;
 use crate::sampling::SamplingStrategy;
@@ -114,9 +113,8 @@ impl RunRecord {
     }
 }
 
-/// Reusable per-worker buffers for [`run_chunk_compiled`]. Like
-/// [`FlowScratch`](crate::flow::FlowScratch), the RTL fast-forward state is
-/// valid against one `(model, evaluation, prechar)` triple only.
+/// Reusable per-worker buffers for [`run_chunk_compiled`]. The conclusion
+/// state (fast-forward and memo) is the worker's [`FlowScratch`]'s.
 #[derive(Default)]
 pub(crate) struct BatchChunkScratch {
     draws: Vec<RunDraw>,
@@ -129,38 +127,18 @@ pub(crate) struct BatchChunkScratch {
     faulty_regs: Vec<GateId>,
     faulty_bits: Vec<MpuBit>,
     records: Vec<RunRecord>,
-    ff: RtlFastForward,
-    /// Per-worker unlocked mirror of the shared conclusion memo.
-    front: ConclusionFront,
     /// Wall-clock latency of each packed transient sweep — pure
     /// telemetry, harvested per chunk into the chunk partial.
     sweep_hist: LatencyHist,
 }
 
 impl BatchChunkScratch {
-    /// Enable or disable the RTL fast-forward accelerations for this
-    /// worker's resumes.
-    pub(crate) fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff.set_enabled(enabled);
-    }
-
-    /// The fast-forward counters accumulated by chunks on this scratch.
-    pub(crate) fn fast_forward_stats(&self) -> FastForwardStats {
-        self.ff.stats()
-    }
-
-    /// `(front hits, shared-memo fallbacks)` of this worker's memo front.
-    pub(crate) fn memo_front_stats(&self) -> (u64, u64) {
-        self.front.contention_stats()
-    }
-
-    /// Drain the latency observations accumulated since the last call
-    /// (kernel sweeps plus fast-forward positioning) into a shard the
-    /// campaign engine attaches to the finished chunk's partial.
+    /// Drain the kernel-sweep latencies accumulated since the last call
+    /// into a shard the campaign engine attaches to the finished chunk's
+    /// partial.
     pub(crate) fn take_latency(&mut self) -> LatencyShard {
         LatencyShard {
             kernel_sweep: std::mem::take(&mut self.sweep_hist),
-            snapshot_restore: self.ff.take_restore_latency(),
             ..LatencyShard::default()
         }
     }
@@ -348,8 +326,8 @@ pub(crate) fn run_chunk_compiled(
     start: usize,
     end: usize,
     scratch: &mut BatchChunkScratch,
+    flow: &mut FlowScratch,
     cycles: &SharedCycleCache,
-    memo: &SharedConclusionMemo,
     ctr: &mut CounterScratch,
     record_provenance: bool,
     sink: &TraceSink,
@@ -401,9 +379,8 @@ pub(crate) fn run_chunk_compiled(
                 te,
                 &mut scratch.draws[ri].rng,
                 &mut scratch.faulty_bits,
-                &mut scratch.ff,
-                memo,
-                Some(&mut scratch.front),
+                &mut flow.ff,
+                &mut flow.memo,
             );
             let rec = &mut scratch.records[ri];
             rec.success = view.success;
@@ -556,7 +533,6 @@ pub fn gate_path_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowScratch;
     use crate::harden::{HardenedSet, HardenedVariant, HardeningModel};
     use crate::model::{Evaluation, SystemModel};
     use crate::precharacterize::Precharacterization;
@@ -632,7 +608,6 @@ mod tests {
                 for seed in [3u64, 77] {
                     let n = 200;
                     let cache = SharedCycleCache::new(runner.eval.golden.cycles);
-                    let memo = SharedConclusionMemo::default();
                     let mut cscratch = BatchChunkScratch::default();
                     let mut ctr = CounterScratch::default();
                     let sink = TraceSink::disabled();
@@ -643,8 +618,8 @@ mod tests {
                         0,
                         n,
                         &mut cscratch,
+                        &mut FlowScratch::default(),
                         &cache,
-                        &memo,
                         &mut ctr,
                         false,
                         &sink,
@@ -710,7 +685,6 @@ mod tests {
                 // 300 runs crosses the 256-lane boundary.
                 let n = 300;
                 let cache = SharedCycleCache::new(runner.eval.golden.cycles);
-                let memo = SharedConclusionMemo::default();
                 let mut cscratch = BatchChunkScratch::default();
                 let mut ctr = CounterScratch::default();
                 let sink = TraceSink::disabled();
@@ -721,8 +695,8 @@ mod tests {
                     0,
                     n,
                     &mut cscratch,
+                    &mut FlowScratch::default(),
                     &cache,
-                    &memo,
                     &mut ctr,
                     false,
                     &sink,
@@ -776,7 +750,6 @@ mod tests {
             let seed = 23u64;
             let n = 300;
             let cache = SharedCycleCache::new(runner.eval.golden.cycles);
-            let memo = SharedConclusionMemo::default();
             let mut scratch = BatchChunkScratch::default();
             let mut ctr = CounterScratch::default();
             let sink = TraceSink::disabled();
@@ -787,8 +760,8 @@ mod tests {
                 0,
                 n,
                 &mut scratch,
+                &mut FlowScratch::default(),
                 &cache,
-                &memo,
                 &mut ctr,
                 false,
                 &sink,
@@ -825,8 +798,8 @@ mod tests {
         };
         let strat = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
         let cache = SharedCycleCache::new(runner.eval.golden.cycles);
-        let memo = SharedConclusionMemo::default();
         let mut cscratch = BatchChunkScratch::default();
+        let mut cflow = FlowScratch::default();
         let mut flow = FlowScratch::default();
         let mut ctr = CounterScratch::default();
         let sink = TraceSink::disabled();
@@ -846,8 +819,8 @@ mod tests {
                 start,
                 start + len,
                 &mut cscratch,
+                &mut cflow,
                 &cache,
-                &memo,
                 &mut ctr,
                 false,
                 &sink,

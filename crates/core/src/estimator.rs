@@ -16,12 +16,12 @@
 
 pub use crate::batch::{gate_path_bench, GatePathBench};
 use crate::batch::{run_chunk_compiled, BatchChunkScratch, SharedCycleCache};
-use crate::fastforward::{FastForwardStats, SharedConclusionMemo};
+use crate::fastforward::FastForwardStats;
 use crate::flow::{FaultRunner, FlowScratch, StrikeClass};
 use crate::json::{bits_str, json_num};
 use crate::metrics::{self, EventLog, LatencyShard, MetricsRegistry, MlmcProgress, StallWatchdog};
 use crate::multilevel::{
-    self, MlmcEstimator, MlmcPlan, MlmcScratch, MlmcSummary, SetToSeuMap, LEVEL_GATE, LEVEL_RTL,
+    self, MlmcEstimator, MlmcPlan, MlmcSummary, SetToSeuMap, LEVEL_GATE, LEVEL_RTL,
 };
 use crate::rng::SplitMix64;
 use crate::sampling::SamplingStrategy;
@@ -292,9 +292,9 @@ pub struct CampaignOptions {
     /// full span tracing, asserting its verdict matches the campaign's
     /// provenance record.
     pub replay: Option<u64>,
-    /// RTL fast-forward accelerations — exact-cycle snapshot cache and
-    /// golden-reconvergence early exit (`--fast-forward on|off`). A pure
-    /// scheduling choice: results are bit-identical either way.
+    /// The RTL fast-forward exact-cycle snapshot cache
+    /// (`--fast-forward on|off`). A pure scheduling choice: results are
+    /// bit-identical either way.
     pub fast_forward: bool,
     /// Where to append the streaming lifecycle event log (`--events`):
     /// one JSON object per line, flushed per line, pinned by
@@ -409,7 +409,7 @@ impl CampaignOptions {
             "  --target-confidence C  confidence for --target-eps, in (0, 1)\n",
             "                         (default 0.95)\n",
             "  --metrics PATH         write the campaign metrics JSON\n",
-            "                         (xlmc-metrics-v5, schemas/metrics.schema.json)\n",
+            "                         (xlmc-metrics-v6, schemas/metrics.schema.json)\n",
             "  --events PATH          stream the lifecycle event log as JSONL\n",
             "                         (schemas/events.schema.json), one flushed line\n",
             "                         per event; results are bit-identical on or off\n",
@@ -418,9 +418,9 @@ impl CampaignOptions {
             "  --stall-timeout SECS   emit a worker_stalled event when the threaded\n",
             "                         merge loop sees no chunk for SECS seconds\n",
             "                         (needs --events; 0 disables; default 30)\n",
-            "  --fast-forward on|off  RTL fast-forward (exact-cycle snapshot cache +\n",
-            "                         golden-reconvergence early exit); results are\n",
-            "                         bit-identical either way (default on)\n",
+            "  --fast-forward on|off  RTL fast-forward exact-cycle snapshot cache;\n",
+            "                         results are bit-identical either way\n",
+            "                         (default on)\n",
             "  --checkpoint PATH      read/write the campaign checkpoint; an\n",
             "                         existing file resumes the campaign\n",
             "  --checkpoint-every N   checkpoint cadence in runs, rounded up to\n",
@@ -709,7 +709,6 @@ fn run_chunk(
     start: usize,
     end: usize,
     scratch: &mut FlowScratch,
-    memo: &SharedConclusionMemo,
     ctr: &mut CounterScratch,
     record_provenance: bool,
 ) -> ChunkPartial {
@@ -722,7 +721,7 @@ fn run_chunk(
         let mut rng = SplitMix64::for_run(seed, i as u64);
         let sample = strategy.draw(&mut rng);
         let w = strategy.weight(&sample);
-        let outcome = runner.run_shared(&sample, &mut rng, scratch, Some(memo));
+        let outcome = runner.run_with(&sample, &mut rng, scratch);
         p.kernel_counters.gates_visited += outcome.gates_visited;
         fold_run(
             &mut p,
@@ -756,10 +755,7 @@ pub(crate) fn scalar_chunk_for_tests(
     scratch: &mut FlowScratch,
 ) -> ChunkPartial {
     let mut ctr = CounterScratch::default();
-    let memo = SharedConclusionMemo::default();
-    run_chunk(
-        runner, strategy, seed, start, end, scratch, &memo, &mut ctr, false,
-    )
+    run_chunk(runner, strategy, seed, start, end, scratch, &mut ctr, false)
 }
 
 /// The merged campaign prefix: every statistic folded from chunks
@@ -931,6 +927,16 @@ impl MergeState {
         } else {
             0.0
         }
+    }
+
+    /// Publish the merged prefix's run counters and estimate gauges.
+    fn publish(&self, reg: &mut MetricsRegistry) {
+        reg.counter_set("runs_total", self.runs_merged() as u64);
+        reg.counter_set("chunks_merged_total", self.merged_chunks as u64);
+        reg.counter_set("successes_total", self.successes as u64);
+        reg.gauge_set("ssf", self.current_ssf());
+        reg.gauge_set("sample_variance", self.current_sample_variance());
+        reg.gauge_set("ess", self.ess());
     }
 
     fn to_checkpoint(
@@ -1307,12 +1313,7 @@ pub fn run_campaign_observed(
             0.0
         };
         let reg = &mut hub.registry;
-        reg.counter_set("runs_total", runs_done as u64);
-        reg.counter_set("chunks_merged_total", state.merged_chunks as u64);
-        reg.counter_set("successes_total", state.successes as u64);
-        reg.gauge_set("ssf", state.current_ssf());
-        reg.gauge_set("sample_variance", state.current_sample_variance());
-        reg.gauge_set("ess", state.ess());
+        state.publish(reg);
         reg.gauge_set("elapsed_seconds", elapsed_s);
         reg.gauge_set("runs_per_sec", runs_per_sec);
         if let Some(eps) = options.target_eps {
@@ -1445,8 +1446,6 @@ pub fn run_campaign_observed(
     // Schedule-dependent fast-forward counters, folded in from every worker
     // scratch at thread exit; they surface in the metrics JSON only.
     let ff_total = Mutex::new(FastForwardStats::default());
-    // Conclusion-memo front totals (hits, shared fallbacks), same lifecycle.
-    let front_total = Mutex::new((0u64, 0u64));
     // Merge-path scheduling observability; all schedule-dependent.
     let mut merge_wait_s = 0.0f64;
     let mut reorder_peak = 0usize;
@@ -1466,12 +1465,6 @@ pub fn run_campaign_observed(
             }
             _ => None,
         };
-        // All workers share one conclusion memo: the verdict is a pure
-        // function of `(T_e, post-hardening bits)`, so a pattern concluded
-        // on any thread is a hit everywhere and sharing never changes a
-        // result bit (racing duplicate computes insert identical values).
-        let memo = SharedConclusionMemo::default();
-        let memo = &memo;
         let ff_total = &ff_total;
         let sink = &sink;
         let seu_map = &seu_map;
@@ -1481,10 +1474,14 @@ pub fn run_campaign_observed(
         // is never published and waiting workers must bail instead.
         let stop_flag = AtomicBool::new(false);
         let stop_flag = &stop_flag;
+        // Each worker concludes every chunk it runs — scalar, compiled or
+        // either MLMC level — through its one `FlowScratch`: one snapshot
+        // cache and one conclusion memo. The verdict is a pure function of
+        // `(T_e, post-hardening bits)`, so per-worker memos never change a
+        // result bit.
         let run_one = |c: usize,
                        flow: &mut FlowScratch,
                        batch: &mut BatchChunkScratch,
-                       mlmc: &mut MlmcScratch,
                        ctr: &mut CounterScratch,
                        tid: u32|
          -> ChunkPartial {
@@ -1520,8 +1517,7 @@ pub fn run_campaign_observed(
                         seed,
                         start,
                         end,
-                        mlmc,
-                        memo,
+                        flow,
                         ctr,
                         options.replay,
                     )
@@ -1533,8 +1529,7 @@ pub fn run_campaign_observed(
                         seed,
                         start,
                         end,
-                        mlmc,
-                        memo,
+                        flow,
                         ctr,
                         record_provenance,
                     )
@@ -1548,8 +1543,8 @@ pub fn run_campaign_observed(
                         start,
                         end,
                         batch,
+                        flow,
                         cache,
-                        memo,
                         ctr,
                         record_provenance,
                         sink,
@@ -1562,7 +1557,6 @@ pub fn run_campaign_observed(
                         start,
                         end,
                         flow,
-                        memo,
                         ctr,
                         record_provenance,
                     ),
@@ -1574,39 +1568,26 @@ pub fn run_campaign_observed(
             // in wall-clock values, never in which chunk they tag).
             p.latency.absorb(&flow.take_latency());
             p.latency.absorb(&batch.take_latency());
-            p.latency.absorb(&mlmc.take_latency());
             p.latency
                 .chunk_wall
                 .record(chunk_t0.elapsed().as_secs_f64());
             p
         };
-        let front_total = &front_total;
-        let fold_ff = |flow: &FlowScratch, batch: &BatchChunkScratch, mlmc: &MlmcScratch| {
-            let mut total = ff_total
+        let fold_ff = |flow: &FlowScratch| {
+            ff_total
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            total.add(&flow.fast_forward_stats());
-            total.add(&batch.fast_forward_stats());
-            total.add(&mlmc.fast_forward_stats());
-            let (h, m) = batch.memo_front_stats();
-            let mut ft = front_total
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            ft.0 += h;
-            ft.1 += m;
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .add(&flow.fast_forward_stats());
         };
 
         workers = threads;
         if threads <= 1 {
             let mut flow = FlowScratch::default();
             let mut batch = BatchChunkScratch::default();
-            let mut mlmc_scratch = MlmcScratch::default();
             flow.set_fast_forward(options.fast_forward);
-            batch.set_fast_forward(options.fast_forward);
-            mlmc_scratch.set_fast_forward(options.fast_forward);
             let mut ctr = CounterScratch::default();
             for c in start_chunk..chunks {
-                let mut p = run_one(c, &mut flow, &mut batch, &mut mlmc_scratch, &mut ctr, 0);
+                let mut p = run_one(c, &mut flow, &mut batch, &mut ctr, 0);
                 let prov = std::mem::take(&mut p.provenance);
                 let level = p.level;
                 let lat = std::mem::take(&mut p.latency);
@@ -1633,7 +1614,7 @@ pub fn run_campaign_observed(
                     break;
                 }
             }
-            fold_ff(&flow, &batch, &mlmc_scratch);
+            fold_ff(&flow);
         } else {
             // Arm the stall watchdog only where stalls are observable:
             // the threaded merge loop, which can wait on recv while
@@ -1663,10 +1644,7 @@ pub fn run_campaign_observed(
                     s.spawn(move || {
                         let mut flow = FlowScratch::default();
                         let mut batch = BatchChunkScratch::default();
-                        let mut mlmc_scratch = MlmcScratch::default();
                         flow.set_fast_forward(options.fast_forward);
-                        batch.set_fast_forward(options.fast_forward);
-                        mlmc_scratch.set_fast_forward(options.fast_forward);
                         let mut ctr = CounterScratch::default();
                         loop {
                             if stop_flag.load(Ordering::Relaxed) {
@@ -1679,14 +1657,13 @@ pub fn run_campaign_observed(
                             my_chunk.store(c, Ordering::Relaxed);
                             // A send fails only when the merger has
                             // stopped and dropped the receiver.
-                            let p =
-                                run_one(c, &mut flow, &mut batch, &mut mlmc_scratch, &mut ctr, tid);
+                            let p = run_one(c, &mut flow, &mut batch, &mut ctr, tid);
                             my_chunk.store(usize::MAX, Ordering::Relaxed);
                             if tx.send((c, p)).is_err() {
                                 break;
                             }
                         }
-                        fold_ff(&flow, &batch, &mlmc_scratch);
+                        fold_ff(&flow);
                     });
                 }
                 drop(tx);
@@ -1778,21 +1755,19 @@ pub fn run_campaign_observed(
         }
     }
 
+    // A resume of an already-completed checkpoint merges no chunk, so the
+    // boundary never ran: publish the final state for the last prom write.
+    state.publish(&mut hub.registry);
     let elapsed_s = start_time.elapsed().as_secs_f64();
     let fresh = (state.runs_merged() - resumed_runs) as f64;
     let mut fast_forward = ff_total
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     fast_forward.enabled = options.fast_forward;
-    let (front_hits, front_misses) = front_total
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let scheduler = SchedulerStats {
         workers,
         merge_wait_s,
         reorder_peak,
-        memo_front_hits: front_hits,
-        memo_front_misses: front_misses,
     };
     let program = match runner.model.mpu.netlist().program() {
         Ok(p) => ProgramStats {
@@ -1890,17 +1865,12 @@ pub fn run_campaign_observed(
         let ff = &meta.fast_forward;
         eprintln!(
             "[fast-forward] {}: resumes {} | snapshot hits {} / misses {} (hit rate {:.1}%) | \
-             early exits {} ({:.1}% of resumes, {} cycles skipped) | confirm failures {} | \
              evictions {}",
             if ff.enabled { "on" } else { "off" },
             ff.rtl_resumes,
             ff.checkpoint_cache_hits,
             ff.checkpoint_cache_misses,
             100.0 * ff.checkpoint_hit_rate(),
-            ff.early_exits,
-            100.0 * ff.early_exit_rate(),
-            ff.cycles_skipped,
-            ff.confirm_failures,
             ff.checkpoint_cache_evictions,
         );
         eprintln!(
@@ -1912,13 +1882,8 @@ pub fn run_campaign_observed(
             meta.program.sweeps,
         );
         eprintln!(
-            "[scheduler] {} workers | merge wait {:.3}s | reorder peak {} | \
-             memo front hits {} / shared fallbacks {}",
-            meta.scheduler.workers,
-            meta.scheduler.merge_wait_s,
-            meta.scheduler.reorder_peak,
-            meta.scheduler.memo_front_hits,
-            meta.scheduler.memo_front_misses,
+            "[scheduler] {} workers | merge wait {:.3}s | reorder peak {}",
+            meta.scheduler.workers, meta.scheduler.merge_wait_s, meta.scheduler.reorder_peak,
         );
         let ring: Vec<ProvenanceRecord> = ring.into_iter().collect();
         if let Err(e) = trace::write_trace(

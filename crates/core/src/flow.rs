@@ -17,9 +17,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::analytic::{self, AnalyticVerdict};
-use crate::fastforward::{
-    self, ConclusionFront, FastForwardStats, RtlFastForward, SharedConclusionMemo,
-};
+use crate::fastforward::{self, ConclusionMemo, FastForwardStats, RtlFastForward};
 use crate::harden::HardenedVariant;
 use crate::lifetime::RegisterKind;
 use crate::model::{Evaluation, SystemModel};
@@ -138,31 +136,31 @@ pub(crate) struct Concluded {
 /// **only against one `(model, evaluation, prechar)` triple**: the netlist
 /// cycle values keyed by injection cycle (the golden run makes them a pure
 /// function of `T_e`), the RTL fast-forward state (the exact-cycle snapshot
-/// cache, the resident resume system and the reconvergence scratch — see
-/// [`RtlFastForward`]), and a fallback conclusion memo used when the caller
-/// does not supply a campaign-shared one. Never move one scratch between
-/// runners with different models, evaluations or pre-characterizations;
-/// within one campaign the engine keeps a scratch per worker.
+/// cache and the resident resume system — see [`RtlFastForward`]) and the
+/// conclusion memo. Never move one scratch between runners with different
+/// models, evaluations or pre-characterizations; within one campaign the
+/// engine keeps one scratch per worker, and every chunk executor (scalar,
+/// compiled, both MLMC levels) concludes through its fast-forward state and
+/// memo.
 #[derive(Debug, Default)]
 pub struct FlowScratch {
     cycle_cache: HashMap<u64, CycleValues>,
     state_buf: Vec<bool>,
     input_buf: Vec<bool>,
-    struck: Vec<GateId>,
-    struck2: Vec<GateId>,
+    pub(crate) struck: Vec<GateId>,
+    pub(crate) struck2: Vec<GateId>,
     transient: TransientScratch,
     strike_out: StrikeOutcome,
     faulty_regs: Vec<GateId>,
-    faulty_bits: Vec<MpuBit>,
-    ff: RtlFastForward,
-    local_memo: SharedConclusionMemo,
+    pub(crate) faulty_bits: Vec<MpuBit>,
+    pub(crate) ff: RtlFastForward,
+    pub(crate) memo: ConclusionMemo,
 }
 
 impl FlowScratch {
-    /// Enable or disable the RTL fast-forward accelerations (snapshot cache
-    /// and golden-reconvergence early exit). On by default; disabling
-    /// degrades every resume to the reference restore-and-replay path,
-    /// which produces bit-identical results.
+    /// Enable or disable the exact-cycle snapshot cache. On by default;
+    /// disabling degrades every resume to the reference restore-and-replay
+    /// path, which produces bit-identical results.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.ff.set_enabled(enabled);
     }
@@ -254,21 +252,6 @@ impl FaultRunner<'_> {
         rng: &mut impl Rng,
         scratch: &'s mut FlowScratch,
     ) -> RunView<'s> {
-        self.run_shared(sample, rng, scratch, None)
-    }
-
-    /// [`FaultRunner::run_with`] against a campaign-shared conclusion memo
-    /// (falls back to the scratch-local one when `memo` is `None`). The
-    /// verdict is a pure function of `(T_e, post-hardening bits)` — the
-    /// hardening filter consumes RNG before the key is formed — so sharing
-    /// the memo across workers never changes a result bit.
-    pub(crate) fn run_shared<'s>(
-        &self,
-        sample: &AttackSample,
-        rng: &mut impl Rng,
-        scratch: &'s mut FlowScratch,
-        memo: Option<&SharedConclusionMemo>,
-    ) -> RunView<'s> {
         let golden = &self.eval.golden;
         let te = match sample.injection_cycle(self.eval.target_cycle) {
             Some(te) if te < golden.cycles => te,
@@ -296,9 +279,8 @@ impl FaultRunner<'_> {
             faulty_regs,
             faulty_bits,
             ff,
-            local_memo,
+            memo,
         } = scratch;
-        let memo = memo.unwrap_or(local_memo);
 
         let netlist = self.model.mpu.netlist();
         // The injection-cycle values are a pure function of `te` on the
@@ -350,7 +332,7 @@ impl FaultRunner<'_> {
         faulty_bits.extend(faulty_regs.iter().filter_map(|&d| self.model.mpu.bit_of(d)));
         let pulses = strike_out.pulses_propagated;
         let gates = strike_out.gates_visited;
-        let mut view = self.conclude_with(te, rng, faulty_bits, ff, memo, None);
+        let mut view = self.conclude_with(te, rng, faulty_bits, ff, memo);
         view.pulses_propagated = pulses;
         view.gates_visited = gates;
         view
@@ -391,27 +373,24 @@ impl FaultRunner<'_> {
     /// computation classification, analytic evaluation or RTL resume.
     fn conclude(&self, te: u64, mut faulty_bits: Vec<MpuBit>, rng: &mut impl Rng) -> AttackOutcome {
         let mut ff = RtlFastForward::default();
-        let memo = SharedConclusionMemo::default();
-        self.conclude_with(te, rng, &mut faulty_bits, &mut ff, &memo, None)
+        let mut memo = ConclusionMemo::default();
+        self.conclude_with(te, rng, &mut faulty_bits, &mut ff, &mut memo)
             .to_outcome()
     }
 
     /// [`FaultRunner::conclude`] writing into scratch-owned storage.
     ///
     /// RNG consumption (the hardening filter) happens *before* the memo key
-    /// is formed, so caching never perturbs the per-run random stream.
-    /// `front`, when present, is a per-worker unlocked mirror of `memo`:
-    /// probes hit it first and fresh verdicts are recorded into both, so
-    /// repeat patterns skip the shard mutex. Because the verdict is a pure
-    /// function of `(T_e, bits)`, the mirror cannot change any result.
+    /// is formed, so caching never perturbs the per-run random stream, and
+    /// the verdict is a pure function of `(T_e, bits)` whichever chunk
+    /// executor or MLMC level asks first.
     pub(crate) fn conclude_with<'s>(
         &self,
         te: u64,
         rng: &mut impl Rng,
         faulty_bits: &'s mut Vec<MpuBit>,
         ff: &mut RtlFastForward,
-        memo: &SharedConclusionMemo,
-        front: Option<&mut ConclusionFront>,
+        memo: &mut ConclusionMemo,
     ) -> RunView<'s> {
         if let Some(h) = self.hardening {
             faulty_bits.retain(|&b| h.flip_survives(b, rng));
@@ -429,12 +408,7 @@ impl FaultRunner<'_> {
         }
 
         let key = fastforward::key_hash(te, faulty_bits);
-        let mut front = front;
-        let hit = match front.as_deref_mut() {
-            Some(f) => f.get_through(memo, key, te, faulty_bits),
-            None => memo.get(key, te, faulty_bits),
-        };
-        if let Some(c) = hit {
+        if let Some(c) = memo.get(key, te, faulty_bits) {
             return RunView {
                 success: c.success,
                 class: c.class,
@@ -471,9 +445,6 @@ impl FaultRunner<'_> {
             analytic,
         };
         memo.insert(key, te, faulty_bits, verdict);
-        if let Some(f) = front {
-            f.record(key, te, faulty_bits, verdict);
-        }
         RunView {
             success,
             class,
@@ -861,7 +832,32 @@ mod tests {
         let off_stats = off.fast_forward_stats();
         assert!(!off_stats.enabled);
         assert_eq!(off_stats.checkpoint_cache_hits, 0);
-        assert_eq!(off_stats.early_exits, 0);
+    }
+
+    /// One worker's state concludes a repeated `(T_e, bits)` pattern once:
+    /// the second call is a memo hit with the identical verdict and never
+    /// reaches the RTL resume.
+    #[test]
+    fn repeated_pattern_resumes_once_per_worker() {
+        let f = fixture();
+        let r = runner(&f, None);
+        let mut scratch = FlowScratch::default();
+        let te = f.eval.target_cycle - 5;
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut verdicts = Vec::new();
+        for _ in 0..2 {
+            let mut bits = vec![MpuBit::Enable];
+            let view = r.conclude_with(te, &mut rng, &mut bits, &mut scratch.ff, &mut scratch.memo);
+            assert_eq!(view.class, StrikeClass::Mixed);
+            assert!(!view.analytic);
+            verdicts.push(view.success);
+        }
+        assert_eq!(verdicts[0], verdicts[1]);
+        assert_eq!(scratch.fast_forward_stats().rtl_resumes, 1);
+        assert_eq!(
+            verdicts[0],
+            fastforward::reference_verdict(&f.eval, te, &[MpuBit::Enable])
+        );
     }
 
     #[test]

@@ -43,7 +43,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::estimator::ChunkPartial;
-use crate::fastforward::{FastForwardStats, RtlFastForward, SharedConclusionMemo};
 use crate::flow::{FaultRunner, FlowScratch, RunView, StrikeClass};
 use crate::model::{Evaluation, SystemModel};
 use crate::precharacterize::Precharacterization;
@@ -552,63 +551,27 @@ impl MlmcSummary {
     }
 }
 
-/// Per-worker buffers for the MLMC chunk executors: the strike/SEU
-/// scratch and fast-forward state of the level-0 path, plus a full
-/// [`FlowScratch`] for the gate half of coupled runs. Like `FlowScratch`,
-/// only valid against one `(model, evaluation, prechar)` triple.
-#[derive(Debug, Default)]
-pub struct MlmcScratch {
-    struck: Vec<GateId>,
-    struck2: Vec<GateId>,
-    bits: Vec<MpuBit>,
-    ff: RtlFastForward,
-    flow: FlowScratch,
-}
-
-impl MlmcScratch {
-    /// Enable or disable the RTL fast-forward accelerations on both the
-    /// level-0 resume state and the gate-path scratch.
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff.set_enabled(enabled);
-        self.flow.set_fast_forward(enabled);
-    }
-
-    /// Combined fast-forward counters of both paths.
-    pub fn fast_forward_stats(&self) -> FastForwardStats {
-        let mut s = self.ff.stats();
-        s.add(&self.flow.fast_forward_stats());
-        s
-    }
-
-    /// Drain latency observations from both the level-0 resume state and
-    /// the nested gate-path scratch into one shard for the chunk partial.
-    pub(crate) fn take_latency(&mut self) -> crate::metrics::LatencyShard {
-        let mut shard = crate::metrics::LatencyShard {
-            snapshot_restore: self.ff.take_restore_latency(),
-            ..crate::metrics::LatencyShard::default()
-        };
-        shard.absorb(&self.flow.take_latency());
-        shard
-    }
-}
-
 /// The level-0 evaluation of one sample: map the spot to its multi-bit SEU
 /// set and run only the downstream conclusion machinery — no gatesim, no
 /// transient arithmetic. RNG discipline matches the gate path (hardening
 /// draws happen inside `conclude_with`, after the strategy's draw), so a
-/// clone of the post-draw stream couples the two levels.
-#[allow(clippy::too_many_arguments)]
+/// clone of the post-draw stream couples the two levels. Both levels
+/// conclude through the same worker scratch: one snapshot cache, one memo.
 fn level0_view<'s>(
     runner: &FaultRunner<'_>,
     map: &SetToSeuMap,
     sample: &AttackSample,
     rng: &mut impl Rng,
-    struck: &mut Vec<GateId>,
-    struck2: &mut Vec<GateId>,
-    bits: &'s mut Vec<MpuBit>,
-    ff: &mut RtlFastForward,
-    memo: &SharedConclusionMemo,
+    scratch: &'s mut FlowScratch,
 ) -> RunView<'s> {
+    let FlowScratch {
+        struck,
+        struck2,
+        faulty_bits: bits,
+        ff,
+        memo,
+        ..
+    } = scratch;
     let te = match sample.injection_cycle(runner.eval.target_cycle) {
         Some(te) if te < runner.eval.golden.cycles => te,
         _ => {
@@ -641,11 +604,11 @@ fn level0_view<'s>(
     }
     let strike_time = sample.strike_time_ps(map.clock_period_ps());
     map.seu_bits_into(struck, te, strike_time, bits);
-    runner.conclude_with(te, rng, bits, ff, memo, None)
+    runner.conclude_with(te, rng, bits, ff, memo)
 }
 
-/// Execute runs `start..end` at level 0. Shares the campaign conclusion
-/// memo with every other chunk (the verdict is a pure function of
+/// Execute runs `start..end` at level 0. Shares the worker's conclusion
+/// memo with every other chunk it runs (the verdict is a pure function of
 /// `(T_e, bits)`, whichever level asked first).
 ///
 /// Level-0 chunks contribute **no** attribution, trace provenance or
@@ -662,8 +625,7 @@ pub(crate) fn run_chunk_level0(
     seed: u64,
     start: usize,
     end: usize,
-    scratch: &mut MlmcScratch,
-    memo: &SharedConclusionMemo,
+    scratch: &mut FlowScratch,
     ctr: &mut CounterScratch,
     replay: Option<u64>,
 ) -> ChunkPartial {
@@ -672,20 +634,11 @@ pub(crate) fn run_chunk_level0(
         level: LEVEL_RTL,
         ..ChunkPartial::default()
     };
-    let MlmcScratch {
-        struck,
-        struck2,
-        bits,
-        ff,
-        ..
-    } = scratch;
     for i in start..end {
         let mut rng = SplitMix64::for_run(seed, i as u64);
         let sample = strategy.draw(&mut rng);
         let w = strategy.weight(&sample);
-        let view = level0_view(
-            runner, map, &sample, &mut rng, struck, struck2, bits, ff, memo,
-        );
+        let view = level0_view(runner, map, &sample, &mut rng, scratch);
         if replay == Some(i as u64) {
             p.provenance.push(ProvenanceRecord {
                 run_index: i as u64,
@@ -748,8 +701,7 @@ pub(crate) fn run_chunk_level1(
     seed: u64,
     start: usize,
     end: usize,
-    scratch: &mut MlmcScratch,
-    memo: &SharedConclusionMemo,
+    scratch: &mut FlowScratch,
     ctr: &mut CounterScratch,
     record_provenance: bool,
 ) -> ChunkPartial {
@@ -758,13 +710,6 @@ pub(crate) fn run_chunk_level1(
         level: LEVEL_GATE,
         ..ChunkPartial::default()
     };
-    let MlmcScratch {
-        struck,
-        struck2,
-        bits,
-        ff,
-        flow,
-    } = scratch;
     for i in start..end {
         let mut rng = SplitMix64::for_run(seed, i as u64);
         let sample = strategy.draw(&mut rng);
@@ -772,20 +717,11 @@ pub(crate) fn run_chunk_level1(
         // Twin streams: the gate half keeps the original (single-estimator)
         // stream, the RTL twin replays the identical post-draw state — so
         // both halves see the same hardening draws and the correction term
-        // isolates the genuine cross-level model gap.
+        // isolates the genuine cross-level model gap. The twin concludes
+        // first because both halves share the scratch's buffers.
         let mut rng_rtl = rng.clone();
-        let gate = runner.run_shared(&sample, &mut rng, flow, Some(memo));
-        let rtl = level0_view(
-            runner,
-            map,
-            &sample,
-            &mut rng_rtl,
-            struck,
-            struck2,
-            bits,
-            ff,
-            memo,
-        );
+        let rtl_success = level0_view(runner, map, &sample, &mut rng_rtl, scratch).success;
+        let gate = runner.run_with(&sample, &mut rng, scratch);
         match gate.class {
             StrikeClass::Masked => p.class_counts.masked += 1,
             StrikeClass::MemoryOnly => p.class_counts.memory_only += 1,
@@ -809,7 +745,7 @@ pub(crate) fn run_chunk_level1(
         p.w_sum += w;
         p.w_sq_sum += w * w;
         let g = if gate.success { w } else { 0.0 };
-        let r = if rtl.success { w } else { 0.0 };
+        let r = if rtl_success { w } else { 0.0 };
         if gate.success {
             p.successes += 1;
             if p.first_success.is_none() {
@@ -891,56 +827,33 @@ pub fn coupled_run(
     seed: u64,
     run_index: u64,
 ) -> PairedRecord {
-    let memo = SharedConclusionMemo::default();
     coupled_run_with(
         runner,
         map,
         strategy,
         seed,
         run_index,
-        &mut MlmcScratch::default(),
-        &memo,
+        &mut FlowScratch::default(),
     )
 }
 
-/// [`coupled_run`] with caller-owned scratch and memo, for harnesses that
-/// re-walk thousands of runs (the memo is verdict-invariant, so reuse
-/// never changes a record).
+/// [`coupled_run`] with a caller-owned scratch, for harnesses that re-walk
+/// thousands of runs (its memo is verdict-invariant, so reuse never
+/// changes a record).
 pub fn coupled_run_with(
     runner: &FaultRunner<'_>,
     map: &SetToSeuMap,
     strategy: &dyn SamplingStrategy,
     seed: u64,
     run_index: u64,
-    scratch: &mut MlmcScratch,
-    memo: &SharedConclusionMemo,
+    scratch: &mut FlowScratch,
 ) -> PairedRecord {
     let mut rng = SplitMix64::for_run(seed, run_index);
     let sample = strategy.draw(&mut rng);
     let weight = strategy.weight(&sample);
     let mut rng_rtl = rng.clone();
-    let MlmcScratch {
-        struck,
-        struck2,
-        bits,
-        ff,
-        flow,
-    } = scratch;
-    let gate_success = runner
-        .run_shared(&sample, &mut rng, flow, Some(memo))
-        .success;
-    let rtl_success = level0_view(
-        runner,
-        map,
-        &sample,
-        &mut rng_rtl,
-        struck,
-        struck2,
-        bits,
-        ff,
-        memo,
-    )
-    .success;
+    let rtl_success = level0_view(runner, map, &sample, &mut rng_rtl, scratch).success;
+    let gate_success = runner.run_with(&sample, &mut rng, scratch).success;
     PairedRecord {
         run_index,
         weight,
@@ -962,21 +875,11 @@ pub fn replay_run_level0(
     seed: u64,
     run_index: u64,
 ) -> ProvenanceRecord {
-    let memo = SharedConclusionMemo::default();
-    let mut scratch = MlmcScratch::default();
+    let mut scratch = FlowScratch::default();
     let mut rng = SplitMix64::for_run(seed, run_index);
     let sample = strategy.draw(&mut rng);
     let weight = strategy.weight(&sample);
-    let MlmcScratch {
-        struck,
-        struck2,
-        bits,
-        ff,
-        ..
-    } = &mut scratch;
-    let view = level0_view(
-        runner, map, &sample, &mut rng, struck, struck2, bits, ff, &memo,
-    );
+    let view = level0_view(runner, map, &sample, &mut rng, &mut scratch);
     ProvenanceRecord {
         run_index,
         t: sample.t,
@@ -1184,8 +1087,7 @@ mod tests {
             cfg.beta,
             cfg.radius_options.clone(),
         );
-        let mut scratch = MlmcScratch::default();
-        let memo = SharedConclusionMemo::default();
+        let mut scratch = FlowScratch::default();
         let mut checked = 0usize;
         for i in 0..600u64 {
             let mut rng = SplitMix64::for_run(77, i);
@@ -1193,7 +1095,7 @@ mod tests {
             if !map.exactly_representable(&sample) {
                 continue;
             }
-            let rec = coupled_run_with(&runner, &map, &strategy, 77, i, &mut scratch, &memo);
+            let rec = coupled_run_with(&runner, &map, &strategy, 77, i, &mut scratch);
             assert_eq!(
                 rec.gate_success, rec.rtl_success,
                 "run {i}: sample {sample:?}"
@@ -1226,11 +1128,10 @@ mod tests {
             cfg.beta,
             cfg.radius_options.clone(),
         );
-        let mut scratch = MlmcScratch::default();
-        let memo = SharedConclusionMemo::default();
+        let mut scratch = FlowScratch::default();
         for i in [0u64, 3, 17, 400] {
             let fresh = coupled_run(&runner, &map, &strategy, 9, i);
-            let reused = coupled_run_with(&runner, &map, &strategy, 9, i, &mut scratch, &memo);
+            let reused = coupled_run_with(&runner, &map, &strategy, 9, i, &mut scratch);
             assert_eq!(fresh, reused, "run {i}");
         }
     }

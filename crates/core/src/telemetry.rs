@@ -567,7 +567,7 @@ impl CampaignCheckpoint {
 /// per-level variance/cost/allocation object; `v5` moved `elapsed_s` and
 /// `runs_per_sec` under a `timing` object that also carries the quantile
 /// digests of the five engine latency histograms.
-pub const METRICS_FORMAT: &str = "xlmc-metrics-v5";
+pub const METRICS_FORMAT: &str = "xlmc-metrics-v6";
 
 /// Shape of the compiled gate program driving the campaign (all zeros
 /// when the model netlist could not be levelized — never the case for the
@@ -596,11 +596,6 @@ pub struct SchedulerStats {
     /// Peak size of the chunk reorder buffer (partials ahead of the merge
     /// cursor).
     pub reorder_peak: usize,
-    /// Conclusion-memo probes answered by a worker-local front without
-    /// touching a shard mutex.
-    pub memo_front_hits: u64,
-    /// Probes that fell through to the locked shared memo.
-    pub memo_front_misses: u64,
 }
 
 /// Campaign-level context the metrics file records alongside the result.
@@ -730,29 +725,22 @@ pub fn metrics_json(result: &CampaignResult, meta: &MetricsMeta) -> String {
     let sc = &meta.scheduler;
     let _ = writeln!(
         s,
-        "  \"scheduler\": {{\"workers\": {}, \"merge_wait_s\": {}, \"reorder_peak\": {}, \
-         \"memo_front_hits\": {}, \"memo_front_misses\": {}}},",
+        "  \"scheduler\": {{\"workers\": {}, \"merge_wait_s\": {}, \"reorder_peak\": {}}},",
         sc.workers,
         json_num(sc.merge_wait_s),
         sc.reorder_peak,
-        sc.memo_front_hits,
-        sc.memo_front_misses,
     );
     let ff = &meta.fast_forward;
     let _ = writeln!(
         s,
         "  \"fast_forward\": {{\"enabled\": {}, \"rtl_resumes\": {}, \
          \"checkpoint_cache_hits\": {}, \"checkpoint_cache_misses\": {}, \
-         \"checkpoint_cache_evictions\": {}, \"early_exits\": {}, \"confirm_failures\": {}, \
-         \"cycles_skipped\": {}}},",
+         \"checkpoint_cache_evictions\": {}}},",
         ff.enabled,
         ff.rtl_resumes,
         ff.checkpoint_cache_hits,
         ff.checkpoint_cache_misses,
         ff.checkpoint_cache_evictions,
-        ff.early_exits,
-        ff.confirm_failures,
-        ff.cycles_skipped,
     );
     let _ = writeln!(
         s,
@@ -982,10 +970,7 @@ mod tests {
                 rtl_resumes: 24,
                 checkpoint_cache_hits: 20,
                 checkpoint_cache_misses: 4,
-                checkpoint_cache_evictions: 0,
-                early_exits: 11,
-                confirm_failures: 1,
-                cycles_skipped: 4321,
+                checkpoint_cache_evictions: 2,
             },
             kernel: CampaignKernel::Compiled,
             program: ProgramStats {
@@ -998,8 +983,6 @@ mod tests {
                 workers: 2,
                 merge_wait_s: 0.25,
                 reorder_peak: 3,
-                memo_front_hits: 10,
-                memo_front_misses: 14,
             },
             latency: {
                 let mut shard = crate::metrics::LatencyShard::default();
@@ -1051,15 +1034,19 @@ mod tests {
         let sched = doc.get("scheduler").unwrap();
         assert_eq!(sched.get("workers").and_then(JsonValue::as_u64), Some(2));
         assert_eq!(
-            sched.get("memo_front_misses").and_then(JsonValue::as_u64),
-            Some(14)
+            sched.get("reorder_peak").and_then(JsonValue::as_u64),
+            Some(3)
         );
         let ff = doc.get("fast_forward").unwrap();
         assert_eq!(ff.get("enabled"), Some(&JsonValue::Bool(true)));
-        assert_eq!(ff.get("early_exits").and_then(JsonValue::as_u64), Some(11));
         assert_eq!(
-            ff.get("cycles_skipped").and_then(JsonValue::as_u64),
-            Some(4321)
+            ff.get("checkpoint_cache_hits").and_then(JsonValue::as_u64),
+            Some(20)
+        );
+        assert_eq!(
+            ff.get("checkpoint_cache_evictions")
+                .and_then(JsonValue::as_u64),
+            Some(2)
         );
         let timing = doc.get("timing").unwrap();
         assert_eq!(

@@ -39,12 +39,6 @@ pub struct GoldenRun {
     pub checkpoints: Vec<Soc>,
     /// The MPU register state at the start of every cycle.
     pub mpu_states: Vec<MpuState>,
-    /// [`Soc::arch_fingerprint`] at the start of every cycle — the
-    /// comparison track for the campaign's golden-reconvergence early exit
-    /// (a faulty resume whose fingerprint matches is a candidate for having
-    /// re-joined the golden trajectory; RAM divergence is caught by the
-    /// mandatory exact state compare).
-    pub fingerprints: Vec<u64>,
     /// Per-cycle MPU stimulus.
     pub stimulus: Vec<CycleStimulus>,
     /// Every resolved data access.
@@ -73,7 +67,6 @@ impl GoldenRun {
             interval,
             checkpoints: Vec::new(),
             mpu_states: Vec::new(),
-            fingerprints: Vec::new(),
             stimulus: Vec::new(),
             access_trace: Vec::new(),
             violation_cycles: Vec::new(),
@@ -86,7 +79,6 @@ impl GoldenRun {
                 run.checkpoints.push(soc.clone());
             }
             run.mpu_states.push(soc.mpu);
-            run.fingerprints.push(soc.arch_fingerprint());
             let cycle = soc.cycle;
             let ev = soc.step();
             run.stimulus.push(CycleStimulus {
@@ -156,7 +148,6 @@ mod tests {
         );
         assert!(run.cycles > 100);
         assert_eq!(run.mpu_states.len() as u64, run.cycles);
-        assert_eq!(run.fingerprints.len() as u64, run.cycles);
         assert_eq!(run.stimulus.len() as u64, run.cycles);
         assert_eq!(run.checkpoints.len() as u64, run.cycles.div_ceil(16));
         assert!(run.final_soc.halted());
@@ -194,15 +185,20 @@ mod tests {
             ";
         let run = golden(src);
         let mut replay = run.nearest_checkpoint(40).clone();
+        let mut reference = Soc::new(&assemble(src).unwrap().words);
+        while reference.cycle < replay.cycle {
+            reference.step();
+        }
         while !replay.halted() {
-            assert_eq!(
-                replay.arch_fingerprint(),
-                run.fingerprints[replay.cycle as usize],
-                "fingerprint track must match a faithful replay at cycle {}",
+            assert!(
+                replay == reference,
+                "replay diverged from a run stepped from reset at cycle {}",
                 replay.cycle
             );
             replay.step();
+            reference.step();
         }
+        assert_eq!(replay, reference);
         assert_eq!(replay, run.final_soc);
     }
 

@@ -414,6 +414,53 @@ fn prom_exposition_has_expected_families_and_labels() {
     let _ = std::fs::remove_file(&prom);
 }
 
+/// Resuming an already-completed checkpoint merges no chunk, yet its prom
+/// rewrite still carries the run, chunk and success counters and the
+/// estimate gauges of the final state.
+#[test]
+fn prom_after_resuming_a_completed_checkpoint_carries_run_counters() {
+    let f = fixture();
+    let r = runner(f);
+    let strategy = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
+    let ck = scratch("completed.ckpt.json");
+    let _ = std::fs::remove_file(&ck);
+    let base = CampaignOptions {
+        checkpoint_path: Some(ck.clone()),
+        ..CampaignOptions::default()
+    };
+    let first = run_campaign_with(&r, &strategy, 1_024, SEED, &base);
+    assert_eq!(first.stop, StopReason::Completed);
+
+    let (opts, events_path, prom) = with_telemetry(&base, "resume-completed");
+    let resumed = run_campaign_with(&r, &strategy, 1_024, SEED, &opts);
+    assert_eq!(resumed, first, "resume of a completed checkpoint");
+
+    let text = std::fs::read_to_string(&prom).expect("read prom file");
+    let sample = |family: &str| -> f64 {
+        text.lines()
+            .find(|l| l.starts_with(&format!("{family}{{")))
+            .unwrap_or_else(|| panic!("no {family} sample in:\n{text}"))
+            .rsplit(' ')
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap()
+    };
+    assert_eq!(sample("xlmc_runs_total") as usize, first.n);
+    assert_eq!(
+        sample("xlmc_chunks_merged_total") as usize,
+        first.n.div_ceil(xlmc::estimator::CHUNK_RUNS)
+    );
+    assert_eq!(sample("xlmc_successes_total") as usize, first.successes);
+    assert_eq!(sample("xlmc_ssf"), first.ssf);
+    assert_eq!(sample("xlmc_sample_variance"), first.sample_variance);
+    assert!(sample("xlmc_ess") > 0.0);
+
+    for path in [&ck, &events_path, &prom] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 /// Aborts the campaign at the first chunk boundary at or past `at_runs`.
 struct AbortAt {
     at_runs: usize,

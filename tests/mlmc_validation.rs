@@ -17,10 +17,9 @@
 use std::sync::OnceLock;
 
 use xlmc::estimator::{run_campaign_with, CampaignOptions, EstimatorKind, CHUNK_RUNS};
-use xlmc::fastforward::SharedConclusionMemo;
-use xlmc::flow::FaultRunner;
+use xlmc::flow::{FaultRunner, FlowScratch};
 use xlmc::harden::{HardenedSet, HardenedVariant, HardeningModel};
-use xlmc::multilevel::{coupled_run_with, MlmcScratch, SetToSeuMap};
+use xlmc::multilevel::{coupled_run_with, SetToSeuMap};
 use xlmc::sampling::{baseline_distribution, ExperimentConfig, ImportanceSampling};
 use xlmc::stats::RunningStats;
 use xlmc::{Evaluation, Precharacterization, SystemModel};
@@ -208,21 +207,12 @@ fn replay_of_a_level0_run_compares_at_level_zero() {
 
     // Pilot level-0 chunks are the odd pilot indices: chunks 1 and 3.
     let map = SetToSeuMap::build(&f.model, &eval, &f.prechar);
-    let memo = SharedConclusionMemo::default();
-    let mut scratch = MlmcScratch::default();
+    let mut scratch = FlowScratch::default();
     let target = [1usize, 3]
         .iter()
         .flat_map(|&c| c * CHUNK_RUNS..(c + 1) * CHUNK_RUNS)
         .find(|&i| {
-            let rec = coupled_run_with(
-                &runner,
-                &map,
-                &strategy,
-                SEED,
-                i as u64,
-                &mut scratch,
-                &memo,
-            );
+            let rec = coupled_run_with(&runner, &map, &strategy, SEED, i as u64, &mut scratch);
             rec.gate_success != rec.rtl_success
         })
         .expect("a pilot level-0 run where the levels disagree") as u64;
@@ -262,8 +252,7 @@ fn correction_term_reproduces_from_raw_paired_records() {
     assert_eq!(m.chunk_levels.len(), RUNS.div_ceil(CHUNK_RUNS));
 
     let map = SetToSeuMap::build(&f.model, &eval, &f.prechar);
-    let memo = SharedConclusionMemo::default();
-    let mut scratch = MlmcScratch::default();
+    let mut scratch = FlowScratch::default();
     let mut diff = RunningStats::new();
     let mut gate = RunningStats::new();
     let mut rtl = RunningStats::new();
@@ -276,15 +265,7 @@ fn correction_term_reproduces_from_raw_paired_records() {
         let mut chunk_gate = RunningStats::new();
         let mut chunk_rtl = RunningStats::new();
         for i in c * CHUNK_RUNS..((c + 1) * CHUNK_RUNS).min(result.n) {
-            let rec = coupled_run_with(
-                &runner,
-                &map,
-                &strategy,
-                SEED,
-                i as u64,
-                &mut scratch,
-                &memo,
-            );
+            let rec = coupled_run_with(&runner, &map, &strategy, SEED, i as u64, &mut scratch);
             chunk_diff.push(rec.diff());
             chunk_gate.push(rec.gate_term());
             chunk_rtl.push(rec.rtl_term());

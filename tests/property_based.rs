@@ -433,9 +433,8 @@ proptest! {
         strategy_idx in 0usize..3,
     ) {
         use std::sync::OnceLock;
-        use xlmc::fastforward::SharedConclusionMemo;
-        use xlmc::flow::FaultRunner;
-        use xlmc::multilevel::{coupled_run_with, MlmcScratch, SetToSeuMap};
+        use xlmc::flow::{FaultRunner, FlowScratch};
+        use xlmc::multilevel::{coupled_run_with, SetToSeuMap};
         use xlmc::rng::SplitMix64;
 
         let f = campaign_fixture();
@@ -449,8 +448,7 @@ proptest! {
             multi_fault: None,
         };
         let strategy = strategy_for(f, strategy_idx);
-        let memo = SharedConclusionMemo::default();
-        let mut scratch = MlmcScratch::default();
+        let mut scratch = FlowScratch::default();
         let mut checked = 0usize;
         for i in 0..192u64 {
             // Re-draw the engine's sample for run i to test the guard,
@@ -467,7 +465,6 @@ proptest! {
                 seed,
                 i,
                 &mut scratch,
-                &memo,
             );
             prop_assert_eq!(
                 rec.gate_success, rec.rtl_success,
