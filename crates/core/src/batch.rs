@@ -99,6 +99,7 @@ struct RunRecord {
     analytic: bool,
     bits: Vec<MpuBit>,
     pulses: usize,
+    memo_id: Option<u32>,
 }
 
 impl RunRecord {
@@ -109,6 +110,7 @@ impl RunRecord {
             analytic: false,
             bits: Vec::new(),
             pulses: 0,
+            memo_id: None,
         }
     }
 }
@@ -200,6 +202,7 @@ fn draw_and_stratify(
                 rec.analytic = false;
                 rec.bits.clear();
                 rec.pulses = 0;
+                rec.memo_id = None;
             }
         }
         scratch.te.push(te);
@@ -240,6 +243,7 @@ fn fold_records(
                 success: rec.success,
                 w: scratch.draws[i].w,
                 faulty_bits: &rec.bits,
+                memo_id: rec.memo_id,
             },
             record_provenance,
         );
@@ -389,6 +393,7 @@ pub(crate) fn run_chunk_compiled(
             rec.bits.clear();
             rec.bits.extend_from_slice(view.faulty_bits);
             rec.pulses = scratch.strike_out.pulses_propagated(lane);
+            rec.memo_id = view.memo_id;
         }
     }
     scratch.order = order;

@@ -409,7 +409,7 @@ impl CampaignOptions {
             "  --target-confidence C  confidence for --target-eps, in (0, 1)\n",
             "                         (default 0.95)\n",
             "  --metrics PATH         write the campaign metrics JSON\n",
-            "                         (xlmc-metrics-v6, schemas/metrics.schema.json)\n",
+            "                         (xlmc-metrics-v7, schemas/metrics.schema.json)\n",
             "  --events PATH          stream the lifecycle event log as JSONL\n",
             "                         (schemas/events.schema.json), one flushed line\n",
             "                         per event; results are bit-identical on or off\n",
@@ -636,6 +636,8 @@ pub(crate) struct RunObs<'a> {
     pub(crate) success: bool,
     pub(crate) w: f64,
     pub(crate) faulty_bits: &'a [MpuBit],
+    /// The run's conclusion-memo id (see [`crate::flow::RunView::memo_id`]).
+    pub(crate) memo_id: Option<u32>,
 }
 
 /// Fold one run's outcome into a shard partial. Both kernels route every
@@ -663,7 +665,7 @@ pub(crate) fn fold_run(
     ctr.record_run(
         &mut p.counters,
         obs.te,
-        obs.faulty_bits,
+        obs.memo_id,
         obs.analytic,
         obs.pulses,
     );
@@ -736,6 +738,7 @@ fn run_chunk(
                 success: outcome.success,
                 w,
                 faulty_bits: outcome.faulty_bits,
+                memo_id: outcome.memo_id,
             },
             record_provenance,
         );
@@ -1865,13 +1868,16 @@ pub fn run_campaign_observed(
         let ff = &meta.fast_forward;
         eprintln!(
             "[fast-forward] {}: resumes {} | snapshot hits {} / misses {} (hit rate {:.1}%) | \
-             evictions {}",
+             evictions {} | memo hits {} / lookups {} (hit rate {:.1}%)",
             if ff.enabled { "on" } else { "off" },
             ff.rtl_resumes,
             ff.checkpoint_cache_hits,
             ff.checkpoint_cache_misses,
             100.0 * ff.checkpoint_hit_rate(),
             ff.checkpoint_cache_evictions,
+            ff.memo_hits,
+            ff.memo_lookups,
+            100.0 * ff.memo_hit_rate(),
         );
         eprintln!(
             "[kernel] {}: {} levels x {} gates, {} lanes/sweep, {} sweeps",
@@ -2057,6 +2063,84 @@ mod tests {
         assert_eq!(result.stop, StopReason::Completed);
         // The baseline draws unit weights, so ESS equals n exactly.
         assert_eq!(result.ess, 400.0);
+    }
+
+    /// The chunk-local counters name conclusion keys by the worker memo's
+    /// ids. On a worker whose memo was warmed by chunks `0..k` (run in
+    /// reverse, so chunk `k` meets ids assigned before it and out of its
+    /// own first-occurrence order), every executor must count chunk `k`
+    /// exactly as on a fresh worker.
+    #[test]
+    fn chunk_counters_do_not_depend_on_memo_warmth() {
+        let f = fixture();
+        let r = runner(&f);
+        let strat = ImportanceSampling::new(
+            baseline_distribution(&f.model, &f.cfg),
+            &f.model,
+            &f.prechar,
+            f.cfg.alpha,
+            f.cfg.beta,
+            f.cfg.radius_options.clone(),
+        );
+        let map = SetToSeuMap::build(&f.model, &f.eval, &f.prechar);
+        let cache = SharedCycleCache::new(f.eval.golden.cycles);
+        const CHUNK: usize = 192;
+        let k = 4;
+        #[derive(Default)]
+        struct Worker {
+            flow: FlowScratch,
+            batch: BatchChunkScratch,
+            ctr: CounterScratch,
+        }
+        let run = |exec: &str, c: usize, w: &mut Worker| -> CampaignCounters {
+            let (start, end) = (c * CHUNK, (c + 1) * CHUNK);
+            let Worker { flow, batch, ctr } = w;
+            let p = match exec {
+                "scalar" => run_chunk(&r, &strat, 5, start, end, flow, ctr, false),
+                "compiled" => run_chunk_compiled(
+                    &r,
+                    &strat,
+                    5,
+                    start,
+                    end,
+                    batch,
+                    flow,
+                    &cache,
+                    ctr,
+                    false,
+                    &TraceSink::disabled(),
+                    0,
+                ),
+                "level0" => {
+                    multilevel::run_chunk_level0(&r, &strat, &map, 5, start, end, flow, ctr, None)
+                }
+                _ => {
+                    multilevel::run_chunk_level1(&r, &strat, &map, 5, start, end, flow, ctr, false)
+                }
+            };
+            p.counters
+        };
+        for exec in ["scalar", "compiled", "level0", "level1"] {
+            let mut fresh = Worker::default();
+            let want = run(exec, k, &mut fresh);
+            let fresh_hits = fresh.flow.fast_forward_stats().memo_hits;
+            assert!(want.conclusion_memo_misses > 0, "{exec}: {want:?}");
+            assert!(want.conclusion_memo_hits > 0, "{exec}: {want:?}");
+
+            let mut warm = Worker::default();
+            for c in (0..k).rev() {
+                run(exec, c, &mut warm);
+            }
+            let before = warm.flow.fast_forward_stats().memo_hits;
+            let got = run(exec, k, &mut warm);
+            let warm_hits = warm.flow.fast_forward_stats().memo_hits - before;
+            assert!(
+                warm_hits > fresh_hits,
+                "{exec}: chunk {k} should reuse keys of earlier chunks \
+                 ({warm_hits} vs {fresh_hits} memo hits)"
+            );
+            assert_eq!(got, want, "{exec}");
+        }
     }
 
     #[test]

@@ -18,13 +18,15 @@
 //!   result-invariant at any thread count. Keys are compact: one 64-bit
 //!   hash of `(te, bits)` addresses the table, the stored entry keeps the
 //!   exact key for verification, and true hash collisions go to a spill
-//!   list — lookups never allocate.
+//!   list — lookups never allocate. Every distinct key gets a dense `u32`
+//!   id, which the run carries on to the chunk-local counters.
 //!
 //! The chunk-local [`crate::trace::CampaignCounters`] accounting is
 //! deliberately untouched by all of this (it models a per-chunk memo so the
-//! counters stay kernel/thread-invariant); the schedule-dependent
-//! fast-forward counters live in [`FastForwardStats`] and surface through
-//! the metrics JSON, never through `CampaignResult`.
+//! counters stay kernel/thread-invariant; the memo ids only name its keys);
+//! the schedule-dependent counters of the snapshot cache and of the real
+//! memo live in [`FastForwardStats`] and surface through the metrics JSON,
+//! never through `CampaignResult`.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -61,6 +63,11 @@ pub struct FastForwardStats {
     pub checkpoint_cache_misses: u64,
     /// Snapshots evicted by the byte-budget LRU bound.
     pub checkpoint_cache_evictions: u64,
+    /// Conclusion-memo lookups (one per in-run sample with surviving
+    /// error bits).
+    pub memo_lookups: u64,
+    /// Lookups answered by the worker's conclusion memo.
+    pub memo_hits: u64,
 }
 
 impl FastForwardStats {
@@ -71,6 +78,8 @@ impl FastForwardStats {
         self.checkpoint_cache_hits += other.checkpoint_cache_hits;
         self.checkpoint_cache_misses += other.checkpoint_cache_misses;
         self.checkpoint_cache_evictions += other.checkpoint_cache_evictions;
+        self.memo_lookups += other.memo_lookups;
+        self.memo_hits += other.memo_hits;
     }
 
     /// Fraction of resumes positioned by a snapshot restore.
@@ -80,6 +89,15 @@ impl FastForwardStats {
             0.0
         } else {
             self.checkpoint_cache_hits as f64 / total as f64
+        }
+    }
+
+    /// Fraction of conclusion-memo lookups answered by the memo.
+    pub fn memo_hit_rate(&self) -> f64 {
+        if self.memo_lookups == 0 {
+            0.0
+        } else {
+            self.memo_hits as f64 / self.memo_lookups as f64
         }
     }
 }
@@ -312,56 +330,84 @@ impl MemoEntry {
 /// is formed), so each worker can keep its own unlocked memo and every
 /// schedule yields bit-identical campaign results. Entries are verified
 /// against the exact stored key — the hash only addresses.
+///
+/// Each distinct key gets a dense `u32` id, in insertion order, that never
+/// changes: the run's [`crate::flow::RunView::memo_id`]. The chunk-local
+/// counters ([`crate::trace::CounterScratch`]) key their per-chunk stamps on
+/// it, so a run's error pattern is hashed once, here.
 #[derive(Debug, Default)]
 pub(crate) struct ConclusionMemo {
-    /// Primary table: one entry per distinct key hash.
-    fast: HashMap<u64, MemoEntry, BuildHasherDefault<PreHashed>>,
-    /// True 64-bit hash collisions (vanishingly rare; scanned linearly).
-    spill: HashMap<u64, Vec<MemoEntry>, BuildHasherDefault<PreHashed>>,
+    /// Primary index: key hash → id of the first key with that hash.
+    fast: HashMap<u64, u32, BuildHasherDefault<PreHashed>>,
+    /// Ids of further keys sharing a hash (true 64-bit collisions,
+    /// vanishingly rare; scanned linearly).
+    spill: HashMap<u64, Vec<u32>, BuildHasherDefault<PreHashed>>,
+    /// Entries by id.
+    entries: Vec<MemoEntry>,
+    /// Calls to [`ConclusionMemo::get`].
+    lookups: u64,
+    /// Lookups that found their key.
+    hits: u64,
 }
 
 impl ConclusionMemo {
-    /// Look up a concluded verdict; allocation-free.
-    pub(crate) fn get(&self, hash: u64, te: u64, bits: &[MpuBit]) -> Option<Concluded> {
-        let entry = self.fast.get(&hash)?;
-        if entry.matches(te, bits) {
-            return Some(entry.verdict);
+    /// Look up a concluded verdict and its key's id; allocation-free.
+    pub(crate) fn get(&mut self, hash: u64, te: u64, bits: &[MpuBit]) -> Option<(u32, Concluded)> {
+        self.lookups += 1;
+        let id = self.find(hash, te, bits)?;
+        self.hits += 1;
+        Some((id, self.entries[id as usize].verdict))
+    }
+
+    fn find(&self, hash: u64, te: u64, bits: &[MpuBit]) -> Option<u32> {
+        let &id = self.fast.get(&hash)?;
+        if self.entries[id as usize].matches(te, bits) {
+            return Some(id);
         }
         self.spill
             .get(&hash)?
             .iter()
-            .find(|e| e.matches(te, bits))
-            .map(|e| e.verdict)
+            .copied()
+            .find(|&id| self.entries[id as usize].matches(te, bits))
     }
 
-    /// Record a concluded verdict. Idempotent: re-inserting a key is a
-    /// no-op, and a colliding key lands in the spill list.
-    pub(crate) fn insert(&mut self, hash: u64, te: u64, bits: &[MpuBit], verdict: Concluded) {
-        let entry = || MemoEntry {
+    /// Record a concluded verdict and return its key's id. Idempotent:
+    /// re-inserting a key returns its existing id, and a colliding key
+    /// lands in the spill list.
+    pub(crate) fn insert(
+        &mut self,
+        hash: u64,
+        te: u64,
+        bits: &[MpuBit],
+        verdict: Concluded,
+    ) -> u32 {
+        if let Some(id) = self.find(hash, te, bits) {
+            return id;
+        }
+        let id = u32::try_from(self.entries.len()).expect("< 2^32 distinct conclusion keys");
+        self.entries.push(MemoEntry {
             te,
             bits: bits.into(),
             verdict,
-        };
+        });
         match self.fast.entry(hash) {
             Entry::Vacant(e) => {
-                e.insert(entry());
+                e.insert(id);
             }
-            Entry::Occupied(e) => {
-                if e.get().matches(te, bits) {
-                    return;
-                }
-                let list = self.spill.entry(hash).or_default();
-                if !list.iter().any(|x| x.matches(te, bits)) {
-                    list.push(entry());
-                }
-            }
+            Entry::Occupied(_) => self.spill.entry(hash).or_default().push(id),
         }
+        id
     }
 
-    /// Total entries, spill included.
+    /// `(lookups, hits)` since the memo was created.
+    pub(crate) fn lookups_and_hits(&self) -> (u64, u64) {
+        (self.lookups, self.hits)
+    }
+
+    /// Distinct keys stored.
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.fast.len() + self.spill.values().map(Vec::len).sum::<usize>()
+        self.entries.len()
     }
 }
 
@@ -384,20 +430,36 @@ mod tests {
         let bits = [MpuBit::Violation, MpuBit::Enable];
         let h = key_hash(5, &bits);
         assert!(memo.get(h, 5, &bits).is_none());
-        memo.insert(h, 5, &bits, concluded(true));
-        assert!(memo.get(h, 5, &bits).unwrap().success);
+        assert_eq!(memo.insert(h, 5, &bits, concluded(true)), 0);
+        let (id, c) = memo.get(h, 5, &bits).unwrap();
+        assert_eq!(id, 0);
+        assert!(c.success);
         // Same hash handed in with a different exact key must miss (and a
         // colliding insert must land in the spill, not overwrite).
         let other = [MpuBit::PipeValid];
         assert!(memo.get(h, 5, &other).is_none());
-        memo.insert(h, 5, &other, concluded(false));
-        assert!(memo.get(h, 5, &bits).unwrap().success);
-        assert!(!memo.get(h, 5, &other).unwrap().success);
+        assert_eq!(memo.insert(h, 5, &other, concluded(false)), 1);
+        assert_eq!(
+            memo.get(h, 5, &bits).map(|(id, c)| (id, c.success)),
+            Some((0, true))
+        );
+        assert_eq!(
+            memo.get(h, 5, &other).map(|(id, c)| (id, c.success)),
+            Some((1, false))
+        );
         assert_eq!(memo.len(), 2);
-        // Duplicate inserts are dropped.
-        memo.insert(h, 5, &bits, concluded(true));
-        memo.insert(h, 5, &other, concluded(false));
+        // Duplicate inserts are dropped and keep their ids.
+        assert_eq!(memo.insert(h, 5, &bits, concluded(true)), 0);
+        assert_eq!(memo.insert(h, 5, &other, concluded(false)), 1);
         assert_eq!(memo.len(), 2);
+        // Ids are dense, in insertion order.
+        let third = [MpuBit::Enable];
+        assert_eq!(
+            memo.insert(key_hash(6, &third), 6, &third, concluded(false)),
+            2
+        );
+        // Five lookups, three of which found their key.
+        assert_eq!(memo.lookups_and_hits(), (5, 3));
     }
 
     #[test]
@@ -471,13 +533,18 @@ mod tests {
             checkpoint_cache_hits: 6,
             checkpoint_cache_misses: 2,
             checkpoint_cache_evictions: 1,
+            memo_lookups: 40,
+            memo_hits: 30,
         };
         total.add(&worker);
         total.add(&worker);
         assert!(total.enabled);
         assert_eq!(total.rtl_resumes, 20);
         assert_eq!(total.checkpoint_cache_evictions, 2);
+        assert_eq!((total.memo_lookups, total.memo_hits), (80, 60));
         assert!((total.checkpoint_hit_rate() - 0.75).abs() < 1e-12);
+        assert!((total.memo_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(FastForwardStats::default().checkpoint_hit_rate(), 0.0);
+        assert_eq!(FastForwardStats::default().memo_hit_rate(), 0.0);
     }
 }

@@ -13,9 +13,6 @@
 //!    architectural state, and resume RTL simulation to completion,
 //! 5. the attack-goal predicate on the final state is the indicator `e`.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
 use crate::analytic::{self, AnalyticVerdict};
 use crate::fastforward::{self, ConclusionMemo, FastForwardStats, RtlFastForward};
 use crate::harden::HardenedVariant;
@@ -100,6 +97,10 @@ pub struct RunView<'s> {
     pub pulses_propagated: usize,
     /// Gates popped from the propagation worklist.
     pub gates_visited: usize,
+    /// Dense id of the `(T_e, bits)` key in the scratch's conclusion memo;
+    /// `None` when the memo was not consulted (out-of-run or masked
+    /// samples). Ids are local to one scratch.
+    pub memo_id: Option<u32>,
 }
 
 impl RunView<'_> {
@@ -144,7 +145,9 @@ pub(crate) struct Concluded {
 /// memo.
 #[derive(Debug, Default)]
 pub struct FlowScratch {
-    cycle_cache: HashMap<u64, CycleValues>,
+    /// Stable netlist values of each injection cycle, indexed by `T_e`
+    /// (filled on first use).
+    cycle_cache: Vec<Option<CycleValues>>,
     state_buf: Vec<bool>,
     input_buf: Vec<bool>,
     pub(crate) struck: Vec<GateId>,
@@ -165,9 +168,15 @@ impl FlowScratch {
         self.ff.set_enabled(enabled);
     }
 
-    /// The fast-forward counters accumulated by runs on this scratch.
+    /// The fast-forward and conclusion-memo counters accumulated by runs
+    /// on this scratch.
     pub fn fast_forward_stats(&self) -> FastForwardStats {
-        self.ff.stats()
+        let (memo_lookups, memo_hits) = self.memo.lookups_and_hits();
+        FastForwardStats {
+            memo_lookups,
+            memo_hits,
+            ..self.ff.stats()
+        }
     }
 
     /// Drain latency observations (snapshot-restore timings) accumulated
@@ -265,6 +274,7 @@ impl FaultRunner<'_> {
                     injection_cycle: None,
                     pulses_propagated: 0,
                     gates_visited: 0,
+                    memo_id: None,
                 };
             }
         };
@@ -286,23 +296,23 @@ impl FaultRunner<'_> {
         // The injection-cycle values are a pure function of `te` on the
         // golden run; campaigns revisit the same few cycles (t ≤ t_max), so
         // the memo turns the per-run combinational sweep into a lookup.
-        let values: &CycleValues = match cycle_cache.entry(te) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                self.model
-                    .mpu
-                    .state_vector_into(&golden.mpu_states[te as usize], state_buf);
-                let stim = &golden.stimulus[te as usize];
-                self.model
-                    .mpu
-                    .input_values_into(stim.request, stim.cfg_write, input_buf);
-                let mut cv = CycleValues::default();
-                self.model
-                    .cycle_sim
-                    .eval_into(netlist, state_buf, input_buf, &mut cv);
-                e.insert(cv)
-            }
-        };
+        if cycle_cache.len() <= te as usize {
+            cycle_cache.resize_with(golden.cycles as usize, || None);
+        }
+        let values: &CycleValues = cycle_cache[te as usize].get_or_insert_with(|| {
+            self.model
+                .mpu
+                .state_vector_into(&golden.mpu_states[te as usize], state_buf);
+            let stim = &golden.stimulus[te as usize];
+            self.model
+                .mpu
+                .input_values_into(stim.request, stim.cfg_write, input_buf);
+            let mut cv = CycleValues::default();
+            self.model
+                .cycle_sim
+                .eval_into(netlist, state_buf, input_buf, &mut cv);
+            cv
+        });
 
         let spot = RadiationSpot {
             center: sample.center,
@@ -404,11 +414,12 @@ impl FaultRunner<'_> {
                 injection_cycle: Some(te),
                 pulses_propagated: 0,
                 gates_visited: 0,
+                memo_id: None,
             };
         }
 
         let key = fastforward::key_hash(te, faulty_bits);
-        if let Some(c) = memo.get(key, te, faulty_bits) {
+        if let Some((id, c)) = memo.get(key, te, faulty_bits) {
             return RunView {
                 success: c.success,
                 class: c.class,
@@ -417,6 +428,7 @@ impl FaultRunner<'_> {
                 injection_cycle: Some(te),
                 pulses_propagated: 0,
                 gates_visited: 0,
+                memo_id: Some(id),
             };
         }
 
@@ -444,7 +456,7 @@ impl FaultRunner<'_> {
             class,
             analytic,
         };
-        memo.insert(key, te, faulty_bits, verdict);
+        let id = memo.insert(key, te, faulty_bits, verdict);
         RunView {
             success,
             class,
@@ -453,6 +465,7 @@ impl FaultRunner<'_> {
             injection_cycle: Some(te),
             pulses_propagated: 0,
             gates_visited: 0,
+            memo_id: Some(id),
         }
     }
 }

@@ -4,7 +4,8 @@
 //! sampled run. Following "Representing Gate-Level SET Faults by Multiple
 //! SEU Faults at RTL" (arXiv:2103.05106), a gate-level SET is well modeled
 //! by the multi-bit SEU set it can latch — which this module derives once
-//! per (cell, injection cycle) from the pre-characterization
+//! per (cell, injection cycle) of the sample space from the
+//! pre-characterization
 //! ([`SetToSeuMap`], with the transient model's logical masking,
 //! electrical attenuation and latching windows folded in statically) — so
 //! a **cheap level-0 sampler** can skip the netlist entirely: map the
@@ -40,7 +41,7 @@
 //! trivially identical across both kernels.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::estimator::ChunkPartial;
 use crate::flow::{FaultRunner, FlowScratch, RunView, StrikeClass};
@@ -81,12 +82,14 @@ pub struct SeuPath {
 pub struct SetToSeuEntry {
     /// Register bits the cell's transient can latch into (sorted, deduped):
     /// the cell's own bit for a register; for a combinational cell, the
-    /// union over injection cycles of its timed-path targets.
+    /// union over the map's injection cycles of its timed-path targets.
     pub bits: Vec<MpuBit>,
+    /// The first injection cycle of `paths_by_te`.
+    first_te: u64,
     /// Per-injection-cycle timed paths of a combinational cell (indexed by
-    /// `te`; empty for registers). At query time a path contributes its
-    /// bit only when the sampled strike phase lands the pulse inside the
-    /// latching window.
+    /// `te − first_te` over the map's cycle window; empty for registers).
+    /// At query time a path contributes its bit only when the sampled
+    /// strike phase lands the pulse inside the latching window.
     paths_by_te: Vec<Vec<SeuPath>>,
     /// Whether every reachable bit shares one register class — one of the
     /// two conditions for the SET being exactly representable at RTL.
@@ -99,17 +102,18 @@ pub struct SetToSeuEntry {
 
 impl SetToSeuEntry {
     /// The statically-masked timed paths of this cell for injection cycle
-    /// `te` (empty for registers and out-of-range cycles).
+    /// `te` (empty for registers and for cycles outside the map's window).
     pub fn paths_at(&self, te: u64) -> &[SeuPath] {
-        self.paths_by_te
-            .get(te as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        te.checked_sub(self.first_te)
+            .and_then(|i| self.paths_by_te.get(i as usize))
+            .map_or(&[], Vec::as_slice)
     }
 }
 
-/// The prechar-derived SET → multi-bit-SEU map of arXiv:2103.05106, for
-/// every cell of the sample space.
+/// The prechar-derived SET → multi-bit-SEU map of arXiv:2103.05106. It
+/// covers the sample space: its cells × its timing distances, i.e. every
+/// cell of `prechar.space` at every injection cycle `te = T_t − t` with `t`
+/// over the space's frames — the only cycles a sample can strike.
 ///
 /// A register cell maps to its own bit (a strike flips the storage node
 /// regardless of timing). A combinational cell maps to **statically timed
@@ -125,9 +129,15 @@ impl SetToSeuEntry {
 /// pin. Level 0 is therefore **exact for radius-0 samples**; all that is
 /// left to the coupled level-1 correction is multi-cell pulse interaction
 /// (merged transients, reconvergent cancellation) on radius > 0 strikes.
+///
+/// Entries live in a table indexed by [`GateId`], so a query is one array
+/// index per struck cell.
 #[derive(Debug, Clone)]
 pub struct SetToSeuMap {
-    entries: HashMap<GateId, SetToSeuEntry>,
+    /// Entry per netlist gate, `None` for cells outside the sample space.
+    entries: Vec<Option<SetToSeuEntry>>,
+    /// Number of mapped cells.
+    mapped: usize,
     /// Clock period of the transient model the timings were derived from.
     clock_period_ps: f64,
     /// Latching window `[T − setup, T + hold]` of the same model.
@@ -137,13 +147,28 @@ pub struct SetToSeuMap {
 
 impl SetToSeuMap {
     /// Derive the map for every sample-space cell against `eval`'s golden
-    /// run, one masked path set per injection cycle.
+    /// run, one masked path set per injection cycle the space reaches.
     pub fn build(model: &SystemModel, eval: &Evaluation, prechar: &Precharacterization) -> Self {
         let netlist = model.mpu.netlist();
         let fanouts = netlist.fanouts();
         let cfg = model.transient.config();
         let golden = &eval.golden;
-        let cycles = golden.cycles as usize;
+        // The window: the injection cycles `T_t − t` of the space's timing
+        // distances inside the golden run. The frames are consecutive `t`,
+        // so the window is one range, `cycles` long from `first_te`.
+        let window: Vec<u64> = prechar
+            .space
+            .frames()
+            .iter()
+            .filter_map(|f| u64::try_from(eval.target_cycle as i64 - f.t).ok())
+            .filter(|&te| te < golden.cycles)
+            .collect();
+        let first_te = window.iter().copied().min().unwrap_or(0);
+        let cycles = window
+            .iter()
+            .map(|&te| (te - first_te + 1) as usize)
+            .max()
+            .unwrap_or(0);
         // Topological ranks, exactly as the transient sim orders its
         // worklist (u32::MAX marks sources and DFFs — never propagated
         // through).
@@ -154,9 +179,10 @@ impl SetToSeuMap {
         }
         // Seed every entry; combinational cells get their per-te path
         // tables filled in the sweep below.
-        let mut entries: HashMap<GateId, SetToSeuEntry> = HashMap::new();
+        let mut entries: Vec<Option<SetToSeuEntry>> = vec![None; netlist.len()];
         let mut comb: Vec<GateId> = Vec::new();
-        for &g in &prechar.space.all_cells() {
+        let cells = prechar.space.all_cells();
+        for &g in &cells {
             let mut bits: Vec<MpuBit> = Vec::new();
             let mut paths_by_te: Vec<Vec<SeuPath>> = Vec::new();
             let mut exact = false;
@@ -173,15 +199,13 @@ impl SetToSeuMap {
                     comb.push(g);
                 }
             }
-            entries.insert(
-                g,
-                SetToSeuEntry {
-                    bits,
-                    paths_by_te,
-                    single_class: false,
-                    exact,
-                },
-            );
+            entries[g.index()] = Some(SetToSeuEntry {
+                bits,
+                first_te,
+                paths_by_te,
+                single_class: false,
+                exact,
+            });
         }
         // One pulse sweep per (cycle, combinational cell): the transient
         // sim's rank-ordered propagation — logical masking against the
@@ -195,7 +219,8 @@ impl SetToSeuMap {
         let mut enqueued: Vec<GateId> = Vec::new();
         let mut ins: Vec<bool> = Vec::new();
         let mut pulsing: Vec<usize> = Vec::new();
-        for te in 0..cycles {
+        for slot in 0..cycles {
+            let te = first_te as usize + slot;
             let state = model.mpu.state_vector(&golden.mpu_states[te]);
             let stim = &golden.stimulus[te];
             let inputs = model.mpu.input_values(stim.request, stim.cfg_write);
@@ -263,14 +288,14 @@ impl SetToSeuMap {
                 // A path per register whose D pin carries a surviving
                 // pulse; the latching-window check is deferred to query
                 // time (only the strike phase is sample-dependent).
-                let entry = entries.get_mut(&g).expect("seeded above");
+                let entry = entries[g.index()].as_mut().expect("seeded above");
                 for &t in &touched {
                     let (delay_ps, duration_ps) = pulse[t.index()].expect("touched ⇒ pulsing");
                     for &c in fanouts.of(t) {
                         let consumer = netlist.gate(c);
                         if consumer.kind == CellKind::Dff && consumer.fanin[0] == t {
                             if let Some(bit) = model.mpu.bit_of(c) {
-                                entry.paths_by_te[te].push(SeuPath {
+                                entry.paths_by_te[slot].push(SeuPath {
                                     bit,
                                     delay_ps,
                                     duration_ps,
@@ -281,7 +306,7 @@ impl SetToSeuMap {
                     }
                 }
                 // One driver per D pin ⇒ at most one path per bit.
-                entry.paths_by_te[te].sort_unstable_by_key(|p| p.bit);
+                entry.paths_by_te[slot].sort_unstable_by_key(|p| p.bit);
                 for &t in &touched {
                     pulse[t.index()] = None;
                 }
@@ -293,7 +318,7 @@ impl SetToSeuMap {
                 queue.clear();
             }
         }
-        for e in entries.values_mut() {
+        for e in entries.iter_mut().flatten() {
             e.bits.sort_unstable();
             e.bits.dedup();
             e.single_class = !e.bits.is_empty() && {
@@ -303,6 +328,7 @@ impl SetToSeuMap {
         }
         Self {
             entries,
+            mapped: cells.len(),
             clock_period_ps: cfg.clock_period_ps,
             window_lo: cfg.clock_period_ps - cfg.setup_ps,
             window_hi: cfg.clock_period_ps + cfg.hold_ps,
@@ -311,17 +337,17 @@ impl SetToSeuMap {
 
     /// The entry for one cell (`None` for cells outside the sample space).
     pub fn entry(&self, g: GateId) -> Option<&SetToSeuEntry> {
-        self.entries.get(&g)
+        self.entries.get(g.index())?.as_ref()
     }
 
     /// Number of mapped cells.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.mapped
     }
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.mapped == 0
     }
 
     /// Clock period of the transient model the timings were derived from
@@ -352,7 +378,7 @@ impl SetToSeuMap {
     ) {
         out.clear();
         for &g in struck {
-            if let Some(e) = self.entries.get(&g) {
+            if let Some(e) = self.entry(g) {
                 if e.exact {
                     out.extend_from_slice(&e.bits);
                 } else {
@@ -378,8 +404,7 @@ impl SetToSeuMap {
     pub fn exactly_representable(&self, sample: &AttackSample) -> bool {
         sample.radius == 0.0
             && self
-                .entries
-                .get(&sample.center)
+                .entry(sample.center)
                 .is_some_and(|e| e.exact && e.single_class)
     }
 }
@@ -584,6 +609,7 @@ fn level0_view<'s>(
                 injection_cycle: None,
                 pulses_propagated: 0,
                 gates_visited: 0,
+                memo_id: None,
             };
         }
     };
@@ -668,7 +694,7 @@ pub(crate) fn run_chunk_level0(
         ctr.record_run(
             &mut p.counters,
             view.injection_cycle,
-            view.faulty_bits,
+            view.memo_id,
             view.analytic,
             0,
         );
@@ -737,7 +763,7 @@ pub(crate) fn run_chunk_level1(
         ctr.record_run(
             &mut p.counters,
             gate.injection_cycle,
-            gate.faulty_bits,
+            gate.memo_id,
             gate.analytic,
             gate.pulses_propagated,
         );
@@ -990,6 +1016,7 @@ mod tests {
         (model, eval, prechar, cfg)
     }
 
+    /// The map covers the sample space: its cells × its timing distances.
     #[test]
     fn map_covers_the_sample_space_and_marks_registers_exact() {
         let (model, eval, prechar, _cfg) = fixture();
@@ -1003,21 +1030,34 @@ mod tests {
         assert_eq!(e.bits, vec![MpuBit::Violation]);
         // The hold mux in front of a register reaches that register with a
         // zero-delay, full-width path (it drives the D pin directly, so no
-        // logical masking can intervene at any cycle).
+        // logical masking can intervene at any cycle) — at the injection
+        // cycle of every timing distance of the space.
         let netlist = model.mpu.netlist();
         let unused = model.mpu.dff(MpuBit::Base(2, 9));
         let hold_mux = netlist.gate(unused).fanin[0];
-        if let Some(e) = map.entry(hold_mux) {
-            assert!(!e.exact);
-            assert!(e.bits.contains(&MpuBit::Base(2, 9)), "{:?}", e.bits);
-            let te = eval.target_cycle - 1;
+        let e = map.entry(hold_mux).expect("hold mux is strikeable");
+        assert!(!e.exact);
+        assert!(e.bits.contains(&MpuBit::Base(2, 9)), "{:?}", e.bits);
+        let frames = prechar.space.frames();
+        assert!(!frames.is_empty());
+        for frame in frames {
+            let te = eval.target_cycle - frame.t as u64;
             let p = e
                 .paths_at(te)
                 .iter()
                 .find(|p| p.bit == MpuBit::Base(2, 9))
-                .expect("direct D-pin path");
+                .unwrap_or_else(|| panic!("no direct D-pin path at t = {}", frame.t));
             assert_eq!(p.delay_ps, 0.0);
             assert!(p.duration_ps > 0.0);
+        }
+        // A cycle no timing distance reaches answers empty: the cycle of
+        // the target itself (t = 0) and the one before the deepest frame.
+        let deepest = frames.iter().map(|f| f.t).max().unwrap();
+        for te in [eval.target_cycle, eval.target_cycle - deepest as u64 - 1] {
+            assert!(e.paths_at(te).is_empty(), "te {te}");
+            let mut out = vec![MpuBit::Enable];
+            map.seu_bits_into(&[hold_mux], te, 0.0, &mut out);
+            assert!(out.is_empty(), "te {te}: {out:?}");
         }
     }
 

@@ -566,8 +566,10 @@ impl CampaignCheckpoint {
 /// contention object; `v4` added `estimator` and the nullable `mlmc`
 /// per-level variance/cost/allocation object; `v5` moved `elapsed_s` and
 /// `runs_per_sec` under a `timing` object that also carries the quantile
-/// digests of the five engine latency histograms.
-pub const METRICS_FORMAT: &str = "xlmc-metrics-v6";
+/// digests of the five engine latency histograms; `v6` dropped the
+/// golden-reconvergence and memo-front counters; `v7` added the worker
+/// conclusion memo's `memo_lookups` and `memo_hits` to `fast_forward`.
+pub const METRICS_FORMAT: &str = "xlmc-metrics-v7";
 
 /// Shape of the compiled gate program driving the campaign (all zeros
 /// when the model netlist could not be levelized — never the case for the
@@ -735,12 +737,14 @@ pub fn metrics_json(result: &CampaignResult, meta: &MetricsMeta) -> String {
         s,
         "  \"fast_forward\": {{\"enabled\": {}, \"rtl_resumes\": {}, \
          \"checkpoint_cache_hits\": {}, \"checkpoint_cache_misses\": {}, \
-         \"checkpoint_cache_evictions\": {}}},",
+         \"checkpoint_cache_evictions\": {}, \"memo_lookups\": {}, \"memo_hits\": {}}},",
         ff.enabled,
         ff.rtl_resumes,
         ff.checkpoint_cache_hits,
         ff.checkpoint_cache_misses,
         ff.checkpoint_cache_evictions,
+        ff.memo_lookups,
+        ff.memo_hits,
     );
     let _ = writeln!(
         s,
@@ -971,6 +975,8 @@ mod tests {
                 checkpoint_cache_hits: 20,
                 checkpoint_cache_misses: 4,
                 checkpoint_cache_evictions: 2,
+                memo_lookups: 50,
+                memo_hits: 26,
             },
             kernel: CampaignKernel::Compiled,
             program: ProgramStats {
@@ -1048,6 +1054,8 @@ mod tests {
                 .and_then(JsonValue::as_u64),
             Some(2)
         );
+        assert_eq!(ff.get("memo_lookups").and_then(JsonValue::as_u64), Some(50));
+        assert_eq!(ff.get("memo_hits").and_then(JsonValue::as_u64), Some(26));
         let timing = doc.get("timing").unwrap();
         assert_eq!(
             timing.get("elapsed_s").and_then(JsonValue::as_f64),

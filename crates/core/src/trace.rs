@@ -18,7 +18,10 @@
 //!    on the multiset of per-run keys inside each chunk — independent of
 //!    batch order, worker schedule, and cross-chunk cache warmth — so they
 //!    are schedule-invariant lower bounds the real caches (which persist
-//!    across chunks and workers) only improve on.
+//!    across chunks and workers) only improve on. Keys are named by dense
+//!    indices, never hashed again: the injection cycle itself, and the id
+//!    the worker's conclusion memo gave the run's `(te, bits)` key; a chunk
+//!    marks what it has seen with epoch stamps in two `Vec<u32>`s.
 //! 3. **Per-run provenance** — a [`ProvenanceRecord`] per run (ring buffer
 //!    of the last [`PROVENANCE_RING_CAP`] plus every successful run) written
 //!    into the trace file, and re-derivable solo from
@@ -31,14 +34,13 @@
 use crate::flow::StrikeClass;
 use crate::json::{json_escape, json_num, JsonValue};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 use xlmc_netlist::GateId;
-use xlmc_soc::MpuBit;
 
 /// Format tag of the trace file (top-level `"format"` key; extra top-level
 /// keys are ignored by Perfetto, which only reads `"traceEvents"`).
@@ -397,34 +399,64 @@ impl KernelCounters {
 /// a key within the chunk is a miss, repeats are hits — a pure function of
 /// the chunk's run outcomes, so scalar (run-index order) and compiled
 /// (lane-batch order folded back to run-index order) agree exactly.
-#[derive(Default)]
+///
+/// A conclusion key `(te, bits)` is named by its dense id in the worker's
+/// conclusion memo, which the run carries here. Ids are assigned once per
+/// worker and never change, so "same id" is exactly "same key" within a
+/// chunk however warm the memo was when the chunk started. Membership is an
+/// epoch stamp per slot: a slot holding the current chunk's epoch was seen
+/// in this chunk, and starting a chunk only bumps the epoch.
 pub(crate) struct CounterScratch {
-    seen_te: HashSet<u64>,
-    /// Campaign-lifetime intern table: each distinct error pattern pays one
-    /// `Box<[MpuBit]>` allocation ever; the per-chunk membership set below
-    /// stores only `(te, pattern id)` pairs, so the hot path is
-    /// allocation-free once the pattern vocabulary is warm.
-    interner: HashMap<Box<[MpuBit]>, u32>,
-    /// Conclusion keys seen this chunk, as `(te, interned pattern id)`.
-    seen: HashSet<(u64, u32)>,
+    /// Stamp of the current chunk (never 0, the value of fresh slots).
+    epoch: u32,
+    /// Per injection cycle `te`, the epoch of the last chunk that saw it.
+    te_seen: Vec<u32>,
+    /// Per conclusion-memo id, the epoch of the last chunk that saw it.
+    key_seen: Vec<u32>,
     rtl_seen: bool,
 }
 
+impl Default for CounterScratch {
+    fn default() -> Self {
+        Self {
+            epoch: 1,
+            te_seen: Vec::new(),
+            key_seen: Vec::new(),
+            rtl_seen: false,
+        }
+    }
+}
+
+/// Stamp `slot` with `epoch`; whether it was unstamped before (its first
+/// occurrence in the chunk).
+fn first_in_chunk(seen: &mut Vec<u32>, slot: usize, epoch: u32) -> bool {
+    if slot >= seen.len() {
+        seen.resize(slot + 1, 0);
+    }
+    std::mem::replace(&mut seen[slot], epoch) != epoch
+}
+
 impl CounterScratch {
-    /// Reset for a new chunk (keeps allocations — and the intern table,
-    /// which is chunk-independent).
+    /// Reset for a new chunk (keeps allocations).
     pub(crate) fn begin_chunk(&mut self) {
-        self.seen_te.clear();
-        self.seen.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // After 2^32 chunks, clear the stamps instead of reusing one.
+            self.te_seen.fill(0);
+            self.key_seen.fill(0);
+            self.epoch = 1;
+        }
         self.rtl_seen = false;
     }
 
-    /// Fold one run's outcome into the chunk's counters.
+    /// Fold one run's outcome into the chunk's counters. `memo_id` names
+    /// the run's conclusion key (`None` when the conclusion memo was not
+    /// consulted: out-of-run or masked after hardening).
     pub(crate) fn record_run(
         &mut self,
         c: &mut CampaignCounters,
         te: Option<u64>,
-        bits: &[MpuBit],
+        memo_id: Option<u32>,
         analytic: bool,
         pulses: usize,
     ) {
@@ -432,25 +464,17 @@ impl CounterScratch {
             c.out_of_run += 1;
             return;
         };
-        if self.seen_te.insert(te) {
+        if first_in_chunk(&mut self.te_seen, te as usize, self.epoch) {
             c.cycle_memo_misses += 1;
         } else {
             c.cycle_memo_hits += 1;
         }
         c.pulses_propagated += pulses;
-        if bits.is_empty() {
+        let Some(id) = memo_id else {
             // Masked after hardening: the conclusion memo is never consulted.
             return;
-        }
-        let id = match self.interner.get(bits) {
-            Some(&id) => id,
-            None => {
-                let id = u32::try_from(self.interner.len()).expect("< 2^32 distinct patterns");
-                self.interner.insert(bits.into(), id);
-                id
-            }
         };
-        if !self.seen.insert((te, id)) {
+        if !first_in_chunk(&mut self.key_seen, id as usize, self.epoch) {
             c.conclusion_memo_hits += 1;
             return;
         }
@@ -672,6 +696,9 @@ pub fn write_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fastforward::{key_hash, ConclusionMemo};
+    use crate::flow::Concluded;
+    use xlmc_soc::MpuBit;
 
     #[test]
     fn disabled_sink_records_nothing() {
@@ -717,25 +744,38 @@ mod tests {
         );
     }
 
+    /// The conclusion-memo id of `(te, bits)`, as the flow hands it to
+    /// `record_run` (`None` for an empty pattern: the memo is skipped).
+    fn memo_id(memo: &mut ConclusionMemo, te: u64, bits: &[MpuBit]) -> Option<u32> {
+        let verdict = Concluded {
+            success: false,
+            class: StrikeClass::Mixed,
+            analytic: false,
+        };
+        (!bits.is_empty()).then(|| memo.insert(key_hash(te, bits), te, bits, verdict))
+    }
+
     #[test]
     fn counter_scratch_models_chunk_local_memos() {
+        let mut memo = ConclusionMemo::default();
+        let mut id = |te, bits: &[MpuBit]| memo_id(&mut memo, te, bits);
         let mut ctr = CounterScratch::default();
         let mut c = CampaignCounters::default();
         let bits_a = [MpuBit::Enable];
         let bits_b = [MpuBit::Base(0, 1)];
         ctr.begin_chunk();
         // Out of run.
-        ctr.record_run(&mut c, None, &[], false, 0);
+        ctr.record_run(&mut c, None, None, false, 0);
         // First strike at cycle 7, masked after hardening.
-        ctr.record_run(&mut c, Some(7), &[], false, 3);
+        ctr.record_run(&mut c, Some(7), id(7, &[]), false, 3);
         // Same cycle, distinct bits -> conclusion miss (rtl) + soc clone.
-        ctr.record_run(&mut c, Some(7), &bits_a, false, 2);
+        ctr.record_run(&mut c, Some(7), id(7, &bits_a), false, 2);
         // Repeat key -> conclusion hit.
-        ctr.record_run(&mut c, Some(7), &bits_a, false, 2);
+        ctr.record_run(&mut c, Some(7), id(7, &bits_a), false, 2);
         // New bits, same cycle -> miss, analytic.
-        ctr.record_run(&mut c, Some(7), &bits_b, true, 1);
+        ctr.record_run(&mut c, Some(7), id(7, &bits_b), true, 1);
         // New cycle, rtl -> restore (soc already resident this chunk).
-        ctr.record_run(&mut c, Some(9), &bits_a, false, 4);
+        ctr.record_run(&mut c, Some(9), id(9, &bits_a), false, 4);
         assert_eq!(c.out_of_run, 1);
         assert_eq!(c.cycle_memo_misses, 2);
         assert_eq!(c.cycle_memo_hits, 3);
@@ -750,7 +790,7 @@ mod tests {
         // A new chunk forgets everything.
         let mut c2 = CampaignCounters::default();
         ctr.begin_chunk();
-        ctr.record_run(&mut c2, Some(7), &bits_a, false, 2);
+        ctr.record_run(&mut c2, Some(7), id(7, &bits_a), false, 2);
         assert_eq!(c2.cycle_memo_misses, 1);
         assert_eq!(c2.conclusion_memo_misses, 1);
         assert_eq!(c2.soc_clones, 1);
@@ -769,12 +809,15 @@ mod tests {
             (Some(5), vec![MpuBit::Base(1, 2)], false, 4),
         ];
         let fold = |order: &[usize]| {
+            // A fresh memo per order, so ids follow this fold's order.
+            let mut memo = ConclusionMemo::default();
             let mut ctr = CounterScratch::default();
             let mut c = CampaignCounters::default();
             ctr.begin_chunk();
             for &i in order {
                 let (te, bits, analytic, pulses) = &runs[i];
-                ctr.record_run(&mut c, *te, bits, *analytic, *pulses);
+                let id = te.and_then(|te| memo_id(&mut memo, te, bits));
+                ctr.record_run(&mut c, *te, id, *analytic, *pulses);
             }
             c
         };

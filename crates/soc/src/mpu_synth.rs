@@ -23,7 +23,9 @@ use xlmc_netlist::{BusBuilder, CellKind, GateId, Netlist};
 pub struct MpuNetlist {
     netlist: Netlist,
     dff_for_bit: HashMap<MpuBit, GateId>,
-    bit_for_dff: HashMap<GateId, MpuBit>,
+    /// The architectural bit of each gate, indexed by [`GateId`] (`None`
+    /// for non-DFF gates).
+    bit_for_gate: Vec<Option<MpuBit>>,
     viol_comb: GateId,
     violation_q: GateId,
 }
@@ -135,20 +137,20 @@ impl MpuNetlist {
             .expect("MPU elaboration produced an invalid netlist");
 
         let mut dff_for_bit = HashMap::new();
-        let mut bit_for_dff = HashMap::new();
+        let mut bit_for_gate = vec![None; n.len()];
         for bit in MpuBit::all() {
             let id = n
                 .resolve(&bit.dff_name())
                 .expect("elaboration must name every architectural bit");
             dff_for_bit.insert(bit, id);
-            bit_for_dff.insert(id, bit);
+            bit_for_gate[id.index()] = Some(bit);
         }
         debug_assert_eq!(dff_for_bit.len(), n.dffs().len());
 
         Self {
             netlist: n,
             dff_for_bit,
-            bit_for_dff,
+            bit_for_gate,
             viol_comb,
             violation_q,
         }
@@ -181,7 +183,7 @@ impl MpuNetlist {
 
     /// The architectural bit a DFF holds, `None` for non-DFF gates.
     pub fn bit_of(&self, dff: GateId) -> Option<MpuBit> {
-        self.bit_for_dff.get(&dff).copied()
+        self.bit_for_gate.get(dff.index()).copied().flatten()
     }
 
     /// Express an [`MpuState`] as a netlist state vector in
@@ -200,7 +202,7 @@ impl MpuNetlist {
             self.netlist
                 .dffs()
                 .iter()
-                .map(|&d| state.bit(self.bit_for_dff[&d])),
+                .map(|&d| state.bit(self.bit_for_gate[d.index()].expect("DFF bit"))),
         );
     }
 
@@ -213,7 +215,7 @@ impl MpuNetlist {
         assert_eq!(vector.len(), self.netlist.dffs().len());
         let mut state = MpuState::default();
         for (i, &d) in self.netlist.dffs().iter().enumerate() {
-            state.set_bit(self.bit_for_dff[&d], vector[i]);
+            state.set_bit(self.bit_for_gate[d.index()].expect("DFF bit"), vector[i]);
         }
         state
     }
