@@ -6,12 +6,10 @@
 //! fresh strike buffers, cloned checkpoint on every RTL resume). The
 //! `scalar_threads_1` row is the sharded engine with the one-run-at-a-time
 //! kernel; the `engine_compiled_threads_N` rows are the default 256-wide
-//! compiled-program kernel at 1, 2 and 4 worker threads;
-//! `engine_compiled_threads_1_noff` repeats the single-thread compiled row
-//! with the RTL fast-forward layer disabled (`--fast-forward off`) to
-//! isolate its contribution — same number of runs, same flow, per-run
-//! `SplitMix64` streams, bit-identical results across every row but the
-//! baseline (whose RNG scheme predates per-run streams). The
+//! compiled-program kernel at 1, 2 and 4 worker threads — same number of
+//! runs, same flow, per-run `SplitMix64` streams, bit-identical results
+//! across every row but the baseline (whose RNG scheme predates per-run
+//! streams). The
 //! `engine_mlmc_threads_{1,4}` rows run the two-level MLMC estimator
 //! (`--estimator mlmc`): its estimate is asserted bit-identical across
 //! threads {1,4} and both kernels.
@@ -40,9 +38,8 @@
 //! `--smoke` runs a reduced campaign and **fails** (exit 1) if the compiled
 //! kernel's gate path drops below [`GATE_PATH_MIN_VS_SCALAR`] times the
 //! scalar kernel's (or its single-thread end-to-end rate below
-//! [`END_TO_END_MIN_VS_SCALAR`] times scalar), if the fast-forwarding row
-//! falls below [`FAST_FORWARD_MIN_VS_OFF`] times its fast-forward-off twin,
-//! if events + prom drop the compiled rate below
+//! [`END_TO_END_MIN_VS_SCALAR`] times scalar), if events + prom drop the
+//! compiled rate below
 //! [`TELEMETRY_MIN_VS_COMPILED`] times the bare row, or — on a host with
 //! 4+ CPUs —
 //! if two compiled workers fall below 0.7x one worker (the threads-scaling
@@ -84,16 +81,8 @@ const GATE_PATH_MIN_VS_SCALAR: f64 = 2.6;
 /// 0.94; end to end the kernel-invariant draw/conclude/fold work dilutes
 /// the strike speedup and each smoke row lasts only 15–45 ms.
 const END_TO_END_MIN_VS_SCALAR: f64 = 0.9;
-/// Smoke gate: compiled single-thread runs/s with the exact-cycle snapshot
-/// cache over the same row with it off. Tukey lower fence (Q1 − 1.5·IQR,
-/// rounded down to 0.1) of 80 interleaved `--smoke` runs on a 2-vCPU Xeon
-/// host, half of them of the previous engine: Q1 0.91, median 0.98,
-/// Q3 1.12, minimum 0.55, fence 0.59. At smoke scale the true delta is
-/// near zero (short post-injection tails, 20–40 ms rows), so the gate
-/// only catches a cache that makes the engine systematically slower.
-const FAST_FORWARD_MIN_VS_OFF: f64 = 0.5;
 /// Smoke gate: compiled runs/s with events + prom on over the bare
-/// compiled row. The same 80 runs gave Q1 0.79, median 0.97, Q3 1.09,
+/// compiled row. 80 interleaved `--smoke` runs on a 2-vCPU Xeon host gave Q1 0.79, median 0.97, Q3 1.09,
 /// minimum 0.63, fence 0.34; the per-chunk event flushes and prom
 /// rewrites are fixed costs a 20 ms row cannot amortize.
 const TELEMETRY_MIN_VS_COMPILED: f64 = 0.3;
@@ -266,21 +255,6 @@ fn main() {
             &base_opts,
         ));
     }
-    // The fast-forward ablation: same engine, same kernel, exact-cycle
-    // snapshot cache disabled.
-    let noff_opts = CampaignOptions {
-        fast_forward: false,
-        ..base_opts.clone()
-    };
-    rows.push(engine_best(
-        &runner,
-        &strategy,
-        runs,
-        1,
-        CampaignKernel::Compiled,
-        "engine_compiled_threads_1_noff".into(),
-        &noff_opts,
-    ));
     // The two-level MLMC estimator: the cheap level maps each SET to a
     // multi-bit SEU and skips the netlist, the coupled correction level
     // re-evaluates the same (seed, run-index) faults gate-accurately.
@@ -429,10 +403,6 @@ fn main() {
         .iter()
         .find(|r| r.label == "scalar_threads_1")
         .expect("scalar row");
-    let noff = rows
-        .iter()
-        .find(|r| r.label == "engine_compiled_threads_1_noff")
-        .expect("fast-forward-off row");
     let compiled = rows
         .iter()
         .find(|r| r.label == "engine_compiled_threads_1")
@@ -447,12 +417,6 @@ fn main() {
         scalar.ssf,
         compiled.ssf,
         compiled_t2.ssf
-    );
-    assert!(
-        compiled.ssf == noff.ssf,
-        "fast-forward changed the result: ssf {} != {} with it off",
-        compiled.ssf,
-        noff.ssf
     );
     let telemetry = rows
         .iter()
@@ -635,24 +599,14 @@ fn main() {
                 telemetry.runs_per_sec, compiled.runs_per_sec
             );
             std::process::exit(1);
-        } else if compiled.runs_per_sec < FAST_FORWARD_MIN_VS_OFF * noff.runs_per_sec {
-            eprintln!(
-                "SMOKE FAIL: fast-forward made the engine slower ({:.0} runs/s \
-                 below {FAST_FORWARD_MIN_VS_OFF}x the {:.0} runs/s with it off)",
-                compiled.runs_per_sec, noff.runs_per_sec
-            );
-            std::process::exit(1);
         } else {
             println!(
                 "smoke ok: gate path compiled {gp_ratio:.2}x scalar \
                  (>= {GATE_PATH_MIN_VS_SCALAR}x), end-to-end compiled {:.0} / scalar {:.0} \
-                 runs/s = {e2e_ratio:.2}x (>= {END_TO_END_MIN_VS_SCALAR}x), fast-forward \
-                 {:.0} runs/s vs {:.0} runs/s without it (>= {FAST_FORWARD_MIN_VS_OFF}x), \
+                 runs/s = {e2e_ratio:.2}x (>= {END_TO_END_MIN_VS_SCALAR}x), \
                  telemetry {:.2}x compiled (>= {TELEMETRY_MIN_VS_COMPILED}x)",
                 compiled.runs_per_sec,
                 scalar.runs_per_sec,
-                compiled.runs_per_sec,
-                noff.runs_per_sec,
                 telemetry.runs_per_sec / compiled.runs_per_sec
             );
         }

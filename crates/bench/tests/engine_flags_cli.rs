@@ -30,3 +30,25 @@ fn unknown_kernel_exits_2_with_a_typed_error() {
         }
     }
 }
+
+/// `--fast-forward` selected the removed exact-cycle snapshot cache. It is
+/// rejected rather than skipped like a flag the engine does not own, so a
+/// script still passing it learns the flag no longer does anything.
+#[test]
+fn removed_fast_forward_flag_exits_2_with_a_typed_error() {
+    for args in [
+        &["--fast-forward", "off"][..],
+        &["--fast-forward", "on"][..],
+        &["--fast-forward=off"][..],
+    ] {
+        let out = fig04(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {err}");
+        assert!(
+            err.contains("error: --fast-forward was removed"),
+            "{args:?}: unreadable message: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: panicked: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+    }
+}

@@ -116,7 +116,7 @@ impl RunRecord {
 }
 
 /// Reusable per-worker buffers for [`run_chunk_compiled`]. The conclusion
-/// state (fast-forward and memo) is the worker's [`FlowScratch`]'s.
+/// state (RTL resume and memo) is the worker's [`FlowScratch`]'s.
 #[derive(Default)]
 pub(crate) struct BatchChunkScratch {
     draws: Vec<RunDraw>,

@@ -292,10 +292,6 @@ pub struct CampaignOptions {
     /// full span tracing, asserting its verdict matches the campaign's
     /// provenance record.
     pub replay: Option<u64>,
-    /// The RTL fast-forward exact-cycle snapshot cache
-    /// (`--fast-forward on|off`). A pure scheduling choice: results are
-    /// bit-identical either way.
-    pub fast_forward: bool,
     /// Where to append the streaming lifecycle event log (`--events`):
     /// one JSON object per line, flushed per line, pinned by
     /// `schemas/events.schema.json`. A pure observer — results are
@@ -326,7 +322,6 @@ impl Default for CampaignOptions {
             checkpoint_every_runs: DEFAULT_CHECKPOINT_EVERY_RUNS,
             trace_path: None,
             replay: None,
-            fast_forward: true,
             events_path: None,
             prom_path: None,
             stall_timeout_s: 30.0,
@@ -384,7 +379,6 @@ impl CampaignOptions {
         "--checkpoint-every",
         "--trace",
         "--replay",
-        "--fast-forward",
         "--events",
         "--prom",
         "--stall-timeout",
@@ -409,7 +403,7 @@ impl CampaignOptions {
             "  --target-confidence C  confidence for --target-eps, in (0, 1)\n",
             "                         (default 0.95)\n",
             "  --metrics PATH         write the campaign metrics JSON\n",
-            "                         (xlmc-metrics-v7, schemas/metrics.schema.json)\n",
+            "                         (xlmc-metrics-v8, schemas/metrics.schema.json)\n",
             "  --events PATH          stream the lifecycle event log as JSONL\n",
             "                         (schemas/events.schema.json), one flushed line\n",
             "                         per event; results are bit-identical on or off\n",
@@ -418,9 +412,6 @@ impl CampaignOptions {
             "  --stall-timeout SECS   emit a worker_stalled event when the threaded\n",
             "                         merge loop sees no chunk for SECS seconds\n",
             "                         (needs --events; 0 disables; default 30)\n",
-            "  --fast-forward on|off  RTL fast-forward exact-cycle snapshot cache;\n",
-            "                         results are bit-identical either way\n",
-            "                         (default on)\n",
             "  --checkpoint PATH      read/write the campaign checkpoint; an\n",
             "                         existing file resumes the campaign\n",
             "  --checkpoint-every N   checkpoint cadence in runs, rounded up to\n",
@@ -439,9 +430,9 @@ impl CampaignOptions {
     /// Parse the engine flags — `--threads N|auto`, `--kernel
     /// scalar|compiled`, `--target-eps X`, `--target-confidence C`,
     /// `--metrics PATH`, `--checkpoint PATH`, `--checkpoint-every N`,
-    /// `--trace PATH`, `--replay N`, `--fast-forward on|off` (each also
-    /// accepting the `--flag=value` spelling) — from an argument list,
-    /// skipping flags it does not own.
+    /// `--trace PATH`, `--replay N` (each also accepting the `--flag=value`
+    /// spelling) — from an argument list, skipping flags it does not own.
+    /// The removed `--fast-forward` is an error, not a skipped flag.
     pub fn parse_args<I>(args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = String>,
@@ -453,6 +444,13 @@ impl CampaignOptions {
                 Some((f, v)) => (f.to_owned(), Some(v.to_owned())),
                 None => (arg, None),
             };
+            if flag == "--fast-forward" {
+                return Err(
+                    "--fast-forward was removed: every RTL resume restores the nearest \
+                     golden checkpoint and replays to the injection cycle; drop the flag"
+                        .to_owned(),
+                );
+            }
             if !Self::VALUE_FLAGS.contains(&flag.as_str()) {
                 continue;
             }
@@ -528,18 +526,6 @@ impl CampaignOptions {
                     opts.replay = Some(value.parse().map_err(|_| {
                         format!("invalid --replay value {value:?}: expected a run index")
                     })?);
-                }
-                "--fast-forward" => {
-                    opts.fast_forward = match value.as_str() {
-                        "on" => true,
-                        "off" => false,
-                        _ => {
-                            return Err(format!(
-                                "invalid --fast-forward value {value:?}: expected \"on\" or \
-                                 \"off\""
-                            ))
-                        }
-                    };
                 }
                 "--events" => opts.events_path = Some(PathBuf::from(value)),
                 "--prom" => opts.prom_path = Some(PathBuf::from(value)),
@@ -620,7 +606,7 @@ pub(crate) struct ChunkPartial {
     /// Per-run provenance, in run-index order (empty unless recording).
     pub(crate) provenance: Vec<ProvenanceRecord>,
     /// Worker-side latency observations (chunk wall time, kernel sweeps,
-    /// snapshot restores). Pure telemetry: taken out before the fold and
+    /// resume positioning). Pure telemetry: taken out before the fold and
     /// absorbed into the merger's registry, never into the statistics.
     pub(crate) latency: LatencyShard,
 }
@@ -1445,9 +1431,43 @@ pub fn run_campaign_observed(
     let mut success_log: Vec<ProvenanceRecord> = Vec::new();
     let mut replay_capture: Option<ProvenanceRecord> = None;
 
+    // One merged chunk, the same in the single-thread loop and the threaded
+    // merge loop: fold the partial in chunk order, absorb its latency shard,
+    // publish the MLMC plan once the pilot is folded, keep its provenance,
+    // then run the boundary.
+    let mut merge_chunk = |state: &mut MergeState,
+                           observer: &mut dyn CampaignObserver,
+                           hub: &mut TelemetryHub,
+                           mut p: ChunkPartial|
+     -> Option<StopReason> {
+        let chunk = state.merged_chunks;
+        let prov = std::mem::take(&mut p.provenance);
+        let level = p.level;
+        let lat = std::mem::take(&mut p.latency);
+        let info = ChunkMergeInfo {
+            chunk,
+            level,
+            stats: p.stats,
+        };
+        state.fold(p, chunk_bounds(chunk).1);
+        hub.registry.latency.absorb(&lat);
+        if let Some(ratio) = state.plan_ratio {
+            let _ = plan_cell.set(MlmcPlan { ratio });
+        }
+        absorb_provenance(
+            prov,
+            level,
+            options.replay,
+            &mut ring,
+            &mut success_log,
+            &mut replay_capture,
+        );
+        boundary(state, observer, hub, info)
+    };
+
     let mut stop = StopReason::Completed;
-    // Schedule-dependent fast-forward counters, folded in from every worker
-    // scratch at thread exit; they surface in the metrics JSON only.
+    // Schedule-dependent resume and memo counters, folded in from every
+    // worker scratch at thread exit; they surface in the metrics JSON only.
     let ff_total = Mutex::new(FastForwardStats::default());
     // Merge-path scheduling observability; all schedule-dependent.
     let mut merge_wait_s = 0.0f64;
@@ -1478,10 +1498,10 @@ pub fn run_campaign_observed(
         let stop_flag = AtomicBool::new(false);
         let stop_flag = &stop_flag;
         // Each worker concludes every chunk it runs — scalar, compiled or
-        // either MLMC level — through its one `FlowScratch`: one snapshot
-        // cache and one conclusion memo. The verdict is a pure function of
-        // `(T_e, post-hardening bits)`, so per-worker memos never change a
-        // result bit.
+        // either MLMC level — through its one `FlowScratch`: one resident
+        // resume system and one conclusion memo. The verdict is a pure
+        // function of `(T_e, post-hardening bits)`, so per-worker memos never
+        // change a result bit.
         let run_one = |c: usize,
                        flow: &mut FlowScratch,
                        batch: &mut BatchChunkScratch,
@@ -1587,32 +1607,10 @@ pub fn run_campaign_observed(
         if threads <= 1 {
             let mut flow = FlowScratch::default();
             let mut batch = BatchChunkScratch::default();
-            flow.set_fast_forward(options.fast_forward);
             let mut ctr = CounterScratch::default();
             for c in start_chunk..chunks {
-                let mut p = run_one(c, &mut flow, &mut batch, &mut ctr, 0);
-                let prov = std::mem::take(&mut p.provenance);
-                let level = p.level;
-                let lat = std::mem::take(&mut p.latency);
-                let info = ChunkMergeInfo {
-                    chunk: c,
-                    level,
-                    stats: p.stats,
-                };
-                state.fold(p, chunk_bounds(c).1);
-                hub.registry.latency.absorb(&lat);
-                if let Some(ratio) = state.plan_ratio {
-                    let _ = plan_cell.set(MlmcPlan { ratio });
-                }
-                absorb_provenance(
-                    prov,
-                    level,
-                    options.replay,
-                    &mut ring,
-                    &mut success_log,
-                    &mut replay_capture,
-                );
-                if let Some(reason) = boundary(&state, observer, &mut hub, info) {
+                let p = run_one(c, &mut flow, &mut batch, &mut ctr, 0);
+                if let Some(reason) = merge_chunk(&mut state, observer, &mut hub, p) {
                     stop = reason;
                     break;
                 }
@@ -1647,7 +1645,6 @@ pub fn run_campaign_observed(
                     s.spawn(move || {
                         let mut flow = FlowScratch::default();
                         let mut batch = BatchChunkScratch::default();
-                        flow.set_fast_forward(options.fast_forward);
                         let mut ctr = CounterScratch::default();
                         loop {
                             if stop_flag.load(Ordering::Relaxed) {
@@ -1722,31 +1719,8 @@ pub fn run_campaign_observed(
                     hub.registry.latency.merge_wait.record(waited);
                     pending.insert(c, p);
                     reorder_peak = reorder_peak.max(pending.len());
-                    while let Some(mut p) = pending.remove(&state.merged_chunks) {
-                        let chunk = state.merged_chunks;
-                        let end = chunk_bounds(chunk).1;
-                        let prov = std::mem::take(&mut p.provenance);
-                        let level = p.level;
-                        let lat = std::mem::take(&mut p.latency);
-                        let info = ChunkMergeInfo {
-                            chunk,
-                            level,
-                            stats: p.stats,
-                        };
-                        state.fold(p, end);
-                        hub.registry.latency.absorb(&lat);
-                        if let Some(ratio) = state.plan_ratio {
-                            let _ = plan_cell.set(MlmcPlan { ratio });
-                        }
-                        absorb_provenance(
-                            prov,
-                            level,
-                            options.replay,
-                            &mut ring,
-                            &mut success_log,
-                            &mut replay_capture,
-                        );
-                        if let Some(reason) = boundary(&state, observer, &mut hub, info) {
+                    while let Some(p) = pending.remove(&state.merged_chunks) {
+                        if let Some(reason) = merge_chunk(&mut state, observer, &mut hub, p) {
                             stop = reason;
                             stop_flag.store(true, Ordering::Relaxed);
                             break 'merge;
@@ -1763,10 +1737,9 @@ pub fn run_campaign_observed(
     state.publish(&mut hub.registry);
     let elapsed_s = start_time.elapsed().as_secs_f64();
     let fresh = (state.runs_merged() - resumed_runs) as f64;
-    let mut fast_forward = ff_total
+    let fast_forward = ff_total
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    fast_forward.enabled = options.fast_forward;
     let scheduler = SchedulerStats {
         workers,
         merge_wait_s,
@@ -1867,14 +1840,8 @@ pub fn run_campaign_observed(
         sink.print_self_time(strategy.name());
         let ff = &meta.fast_forward;
         eprintln!(
-            "[fast-forward] {}: resumes {} | snapshot hits {} / misses {} (hit rate {:.1}%) | \
-             evictions {} | memo hits {} / lookups {} (hit rate {:.1}%)",
-            if ff.enabled { "on" } else { "off" },
+            "[fast-forward] resumes {} | memo hits {} / lookups {} (hit rate {:.1}%)",
             ff.rtl_resumes,
-            ff.checkpoint_cache_hits,
-            ff.checkpoint_cache_misses,
-            100.0 * ff.checkpoint_hit_rate(),
-            ff.checkpoint_cache_evictions,
             ff.memo_hits,
             ff.memo_lookups,
             100.0 * ff.memo_hit_rate(),
@@ -2464,7 +2431,6 @@ mod tests {
             let value = match flag {
                 "--kernel" => "scalar",
                 "--estimator" => "mlmc",
-                "--fast-forward" => "off",
                 "--target-eps" => "0.01",
                 "--target-confidence" => "0.9",
                 "--stall-timeout" => "2.5",

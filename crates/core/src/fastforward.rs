@@ -1,32 +1,28 @@
-//! The conclusion layer of the memo-miss path: the per-worker exact-cycle
-//! snapshot cache and the per-worker conclusion memo.
+//! The conclusion layer of the memo-miss path: the RTL resume and the
+//! per-worker conclusion memo.
 //!
-//! A computation-type error set is concluded by an RTL resume: restore the
-//! nearest golden checkpoint, `step()` up to the injection cycle, write the
-//! errors back, then simulate to halt. Two per-worker structures cut the
-//! cost of that step without changing a single result bit:
+//! A computation-type error set is concluded by an RTL resume, the paper's
+//! §5.1 restart from golden checkpoints "dumped at intermediate points":
+//! restore the nearest golden checkpoint (one every 32 cycles), `step()` up
+//! to the start of cycle `te + 1`, write the errors back, then simulate to
+//! halt. [`RtlFastForward`] does this on one resident system per worker, so
+//! a resume restores in place and never clones.
 //!
-//! * [`RtlFastForward`] — an **exact-cycle snapshot cache**: campaigns
-//!   revisit a small set of injection cycles `t ≤ t_max`, so the system
-//!   state at *exactly* the start of cycle `te + 1` (injection cycle
-//!   executed, fault not yet applied) is kept per visited `te`, turning
-//!   restore-and-replay into a single `restore_from`.
-//!
-//! * [`ConclusionMemo`] — the `(te, faulty_bits) → verdict` memo. The
-//!   verdict is a pure function of its key (the hardening filter consumes
-//!   RNG *before* the key is formed), so a worker-local memo is
-//!   result-invariant at any thread count. Keys are compact: one 64-bit
-//!   hash of `(te, bits)` addresses the table, the stored entry keeps the
-//!   exact key for verification, and true hash collisions go to a spill
-//!   list — lookups never allocate. Every distinct key gets a dense `u32`
-//!   id, which the run carries on to the chunk-local counters.
+//! [`ConclusionMemo`] is the `(te, faulty_bits) → verdict` memo in front of
+//! it. The verdict is a pure function of its key (the hardening filter
+//! consumes RNG *before* the key is formed), so a worker-local memo is
+//! result-invariant at any thread count. Keys are compact: one 64-bit hash
+//! of `(te, bits)` addresses the table, the stored entry keeps the exact key
+//! for verification, and true hash collisions go to a spill list — lookups
+//! never allocate. Every distinct key gets a dense `u32` id, which the run
+//! carries on to the chunk-local counters.
 //!
 //! The chunk-local [`crate::trace::CampaignCounters`] accounting is
 //! deliberately untouched by all of this (it models a per-chunk memo so the
 //! counters stay kernel/thread-invariant; the memo ids only name its keys);
-//! the schedule-dependent counters of the snapshot cache and of the real
-//! memo live in [`FastForwardStats`] and surface through the metrics JSON,
-//! never through `CampaignResult`.
+//! the schedule-dependent counters of the resumes and of the real memo live
+//! in [`FastForwardStats`] and surface through the metrics JSON, never
+//! through `CampaignResult`.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -38,31 +34,16 @@ use crate::metrics::LatencyHist;
 use crate::model::Evaluation;
 use xlmc_soc::{MpuBit, Soc};
 
-/// Byte budget for the exact-cycle snapshot cache (per worker).
-const SNAPSHOT_BUDGET_BYTES: usize = 4 << 20;
-/// Approximate bytes per snapshot: the RAM image dominates.
-const SNAPSHOT_BYTES: usize = xlmc_soc::soc::RAM_BYTES as usize + 256;
-/// LRU bound on the snapshot cache derived from the byte budget.
-const MAX_SNAPSHOTS: usize = SNAPSHOT_BUDGET_BYTES / SNAPSHOT_BYTES;
-
-/// Counters of the fast-forward layer.
+/// Counters of the conclusion layer.
 ///
-/// These are **schedule-dependent** (cache warmth varies with thread count
-/// and chunk order), so they are reported through the metrics
-/// JSON only — never through `CampaignResult`, whose fields are all
+/// These are **schedule-dependent** (memo warmth varies with thread count
+/// and chunk order), so they are reported through the metrics JSON only —
+/// never through `CampaignResult`, whose fields are all
 /// kernel/thread-invariant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastForwardStats {
-    /// Whether the layer was enabled.
-    pub enabled: bool,
     /// RTL resumes performed (memo misses reaching the RTL path).
     pub rtl_resumes: u64,
-    /// Resumes positioned by a single snapshot restore.
-    pub checkpoint_cache_hits: u64,
-    /// Resumes that paid restore-and-replay (and then seeded the cache).
-    pub checkpoint_cache_misses: u64,
-    /// Snapshots evicted by the byte-budget LRU bound.
-    pub checkpoint_cache_evictions: u64,
     /// Conclusion-memo lookups (one per in-run sample with surviving
     /// error bits).
     pub memo_lookups: u64,
@@ -73,23 +54,9 @@ pub struct FastForwardStats {
 impl FastForwardStats {
     /// Accumulate another worker's counters.
     pub fn add(&mut self, other: &FastForwardStats) {
-        self.enabled |= other.enabled;
         self.rtl_resumes += other.rtl_resumes;
-        self.checkpoint_cache_hits += other.checkpoint_cache_hits;
-        self.checkpoint_cache_misses += other.checkpoint_cache_misses;
-        self.checkpoint_cache_evictions += other.checkpoint_cache_evictions;
         self.memo_lookups += other.memo_lookups;
         self.memo_hits += other.memo_hits;
-    }
-
-    /// Fraction of resumes positioned by a snapshot restore.
-    pub fn checkpoint_hit_rate(&self) -> f64 {
-        let total = self.checkpoint_cache_hits + self.checkpoint_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.checkpoint_cache_hits as f64 / total as f64
-        }
     }
 
     /// Fraction of conclusion-memo lookups answered by the memo.
@@ -102,70 +69,22 @@ impl FastForwardStats {
     }
 }
 
-#[derive(Debug)]
-struct Snapshot {
-    soc: Soc,
-    last_used: u64,
-}
-
-/// Per-worker fast-forward state: the exact-cycle snapshot cache and the
-/// resident system every resume runs on.
+/// Per-worker RTL resume state: the resident system every resume runs on.
 ///
 /// Like [`crate::flow::FlowScratch`] (which owns one), an instance is only
 /// valid against one evaluation; the campaign engine keeps one per worker.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RtlFastForward {
-    enabled: bool,
-    snapshots: HashMap<u64, Snapshot>,
     /// The resident system every resume mutates (restored, never cloned).
     work: Option<Soc>,
-    tick: u64,
     stats: FastForwardStats,
-    /// Wall-clock latency of each resume's positioning phase (snapshot
-    /// restore on a hit, checkpoint restore + replay on a miss) — pure
-    /// telemetry, harvested per chunk by the campaign engine.
+    /// Wall-clock latency of each resume's positioning phase (checkpoint
+    /// restore + replay to `te + 1`) — pure telemetry, harvested per chunk
+    /// by the campaign engine.
     restore_hist: LatencyHist,
 }
 
-impl Default for RtlFastForward {
-    fn default() -> Self {
-        Self::new(true)
-    }
-}
-
 impl RtlFastForward {
-    /// A fresh fast-forward state; `enabled = false` turns the snapshot
-    /// cache off, so every resume pays the reference restore-and-replay
-    /// (bit-identical results, no acceleration).
-    pub fn new(enabled: bool) -> Self {
-        Self {
-            enabled,
-            snapshots: HashMap::new(),
-            work: None,
-            tick: 0,
-            stats: FastForwardStats {
-                enabled,
-                ..FastForwardStats::default()
-            },
-            restore_hist: LatencyHist::default(),
-        }
-    }
-
-    /// Enable or disable the snapshot cache (it is dropped so a re-enable
-    /// starts cold).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        self.stats.enabled = enabled;
-        if !enabled {
-            self.snapshots.clear();
-        }
-    }
-
-    /// Whether the snapshot cache is enabled.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The counters accumulated by resumes on this state.
     pub fn stats(&self) -> FastForwardStats {
         self.stats
@@ -178,57 +97,21 @@ impl RtlFastForward {
         std::mem::take(&mut self.restore_hist)
     }
 
-    /// The full RTL tail of one conclusion, in three steps: position the
-    /// work system at the start of cycle `te + 1` (snapshot restore on a
-    /// cache hit, reference restore-and-replay on a miss), write the errors
-    /// back, and simulate to completion.
+    /// The full RTL tail of one conclusion, in three steps: restore the
+    /// nearest golden checkpoint and replay to the start of cycle `te + 1`,
+    /// write the errors back, and simulate to completion.
     pub(crate) fn resume(&mut self, eval: &Evaluation, te: u64, faulty_bits: &[MpuBit]) -> bool {
         self.stats.rtl_resumes += 1;
         let checkpoint = eval.golden.nearest_checkpoint(te);
         let work = self.work.get_or_insert_with(|| checkpoint.clone());
 
         let t_position = Instant::now();
-        let snapshot = if self.enabled {
-            self.snapshots.get_mut(&te)
-        } else {
-            None
-        };
-        if let Some(snap) = snapshot {
-            self.tick += 1;
-            snap.last_used = self.tick;
-            work.restore_from(&snap.soc);
-            self.stats.checkpoint_cache_hits += 1;
-        } else {
-            work.restore_from(checkpoint);
-            while work.cycle < te {
-                work.step();
-            }
-            // Execute the injection cycle; the snapshot is taken pre-fault
-            // so every error pattern at this `te` starts from it.
+        work.restore_from(checkpoint);
+        while work.cycle < te {
             work.step();
-            if self.enabled {
-                self.stats.checkpoint_cache_misses += 1;
-                if self.snapshots.len() >= MAX_SNAPSHOTS {
-                    if let Some(&oldest) = self
-                        .snapshots
-                        .iter()
-                        .min_by_key(|(_, s)| s.last_used)
-                        .map(|(te, _)| te)
-                    {
-                        self.snapshots.remove(&oldest);
-                        self.stats.checkpoint_cache_evictions += 1;
-                    }
-                }
-                self.tick += 1;
-                self.snapshots.insert(
-                    te,
-                    Snapshot {
-                        soc: work.clone(),
-                        last_used: self.tick,
-                    },
-                );
-            }
         }
+        // Execute the injection cycle; the errors land after it.
+        work.step();
         self.restore_hist.record(t_position.elapsed().as_secs_f64());
 
         for &b in faulty_bits {
@@ -243,12 +126,11 @@ impl RtlFastForward {
 
 /// The run-to-halt reference verdict of one `(T_e, faulty bits)` error set:
 /// restore the nearest golden checkpoint, replay to the injection cycle,
-/// write the errors back, and simulate to completion with every
-/// acceleration disabled. This is the oracle the fast-forward layer — and
-/// the multilevel estimator's cross-level consistency tests — are pinned
-/// against.
+/// write the errors back, and simulate to completion on a fresh system,
+/// outside any memo. The multilevel estimator's cross-level consistency
+/// tests are pinned against it.
 pub fn reference_verdict(eval: &Evaluation, te: u64, faulty_bits: &[MpuBit]) -> bool {
-    RtlFastForward::new(false).resume(eval, te, faulty_bits)
+    RtlFastForward::default().resume(eval, te, faulty_bits)
 }
 
 /// Hasher for keys that are already well-mixed 64-bit hashes: multiply by an
@@ -475,76 +357,19 @@ mod tests {
         assert_ne!(key_hash(3, &ab), key_hash(3, &ba));
     }
 
-    /// Resuming at more distinct injection cycles than the byte budget
-    /// holds evicts exactly the overflow, least recently used first, and
-    /// never changes a verdict.
-    #[test]
-    fn snapshot_cache_respects_the_lru_bound() {
-        const { assert!(MAX_SNAPSHOTS >= 8, "budget must hold a useful working set") };
-        let eval = Evaluation::new(xlmc_soc::workloads::illegal_write()).unwrap();
-        let distinct = MAX_SNAPSHOTS as u64 + 13;
-        assert!(
-            eval.golden.cycles > distinct,
-            "golden run of {} cycles cannot fill the cache",
-            eval.golden.cycles
-        );
-        let bits = [MpuBit::Enable];
-        let mut ff = RtlFastForward::default();
-        for te in 0..distinct {
-            let verdict = ff.resume(&eval, te, &bits);
-            assert!(ff.snapshots.len() <= MAX_SNAPSHOTS, "te {te}");
-            assert_eq!(verdict, reference_verdict(&eval, te, &bits), "te {te}");
-        }
-        let stats = ff.stats();
-        assert_eq!(stats.rtl_resumes, distinct);
-        assert_eq!(stats.checkpoint_cache_misses, distinct);
-        assert_eq!(stats.checkpoint_cache_hits, 0);
-        assert_eq!(
-            stats.checkpoint_cache_evictions,
-            distinct - MAX_SNAPSHOTS as u64
-        );
-        assert_eq!(ff.snapshots.len(), MAX_SNAPSHOTS);
-
-        // The newest cycle is still cached; the oldest was evicted.
-        let newest = distinct - 1;
-        assert_eq!(
-            ff.resume(&eval, newest, &bits),
-            reference_verdict(&eval, newest, &bits)
-        );
-        assert_eq!(ff.stats().checkpoint_cache_hits, 1);
-        assert_eq!(
-            ff.resume(&eval, 0, &bits),
-            reference_verdict(&eval, 0, &bits)
-        );
-        assert_eq!(ff.stats().checkpoint_cache_misses, distinct + 1);
-        assert_eq!(ff.snapshots.len(), MAX_SNAPSHOTS);
-
-        let off = RtlFastForward::new(false);
-        assert!(!off.enabled());
-        assert!(!off.stats().enabled);
-    }
-
     #[test]
     fn stats_accumulate_and_expose_rates() {
         let mut total = FastForwardStats::default();
         let worker = FastForwardStats {
-            enabled: true,
             rtl_resumes: 10,
-            checkpoint_cache_hits: 6,
-            checkpoint_cache_misses: 2,
-            checkpoint_cache_evictions: 1,
             memo_lookups: 40,
             memo_hits: 30,
         };
         total.add(&worker);
         total.add(&worker);
-        assert!(total.enabled);
         assert_eq!(total.rtl_resumes, 20);
-        assert_eq!(total.checkpoint_cache_evictions, 2);
         assert_eq!((total.memo_lookups, total.memo_hits), (80, 60));
-        assert!((total.checkpoint_hit_rate() - 0.75).abs() < 1e-12);
         assert!((total.memo_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(FastForwardStats::default().checkpoint_hit_rate(), 0.0);
         assert_eq!(FastForwardStats::default().memo_hit_rate(), 0.0);
     }
 }

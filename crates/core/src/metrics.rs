@@ -200,8 +200,9 @@ pub struct LatencyShard {
     /// (recorded merger-side; empty on the single-thread path where the
     /// merger is the worker).
     pub merge_wait: LatencyHist,
-    /// RTL fast-forward positioning: snapshot-cache restore on a hit, or
-    /// checkpoint restore + replay on a miss.
+    /// RTL resume positioning: golden-checkpoint restore plus replay to
+    /// the start of cycle `te + 1` (the name predates the removal of the
+    /// snapshot cache and is kept for the metrics schema).
     pub snapshot_restore: LatencyHist,
     /// One packed transient sweep of the compiled kernel (empty
     /// under `--kernel scalar`, which strikes per run).

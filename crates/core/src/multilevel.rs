@@ -11,7 +11,7 @@
 //! a **cheap level-0 sampler** can skip the netlist entirely: map the
 //! sampled spot, cycle and phase to its SEU set, then run the existing
 //! downstream conclusion machinery (hardening filter, classification,
-//! analytic evaluation or fast-forward RTL resume). Writing `r = w·e_rtl`
+//! analytic evaluation or RTL resume). Writing `r = w·e_rtl`
 //! for the level-0 weighted indicator
 //! and `g = w·e_gate` for the full flow's, the telescoped identity
 //!
@@ -581,7 +581,7 @@ impl MlmcSummary {
 /// transient arithmetic. RNG discipline matches the gate path (hardening
 /// draws happen inside `conclude_with`, after the strategy's draw), so a
 /// clone of the post-draw stream couples the two levels. Both levels
-/// conclude through the same worker scratch: one snapshot cache, one memo.
+/// conclude through the same worker scratch: one resume system, one memo.
 fn level0_view<'s>(
     runner: &FaultRunner<'_>,
     map: &SetToSeuMap,

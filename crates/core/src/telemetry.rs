@@ -568,8 +568,11 @@ impl CampaignCheckpoint {
 /// `runs_per_sec` under a `timing` object that also carries the quantile
 /// digests of the five engine latency histograms; `v6` dropped the
 /// golden-reconvergence and memo-front counters; `v7` added the worker
-/// conclusion memo's `memo_lookups` and `memo_hits` to `fast_forward`.
-pub const METRICS_FORMAT: &str = "xlmc-metrics-v7";
+/// conclusion memo's `memo_lookups` and `memo_hits` to `fast_forward`;
+/// `v8` dropped the `enabled` flag and the eviction counter with the
+/// exact-cycle snapshot cache (`checkpoint_cache_hits` stays, always 0, and
+/// `checkpoint_cache_misses` stays, equal to `rtl_resumes`).
+pub const METRICS_FORMAT: &str = "xlmc-metrics-v8";
 
 /// Shape of the compiled gate program driving the campaign (all zeros
 /// when the model netlist could not be levelized — never the case for the
@@ -618,7 +621,7 @@ pub struct MetricsMeta {
     pub runs_per_sec: f64,
     /// Logical CPUs available on the host that ran the campaign.
     pub host_cpus: usize,
-    /// RTL fast-forward counters (schedule-dependent — that is why they
+    /// RTL resume and memo counters (schedule-dependent — that is why they
     /// live here and not in the kernel/thread-invariant `CampaignResult`).
     pub fast_forward: FastForwardStats,
     /// The `--kernel` spelling of the per-chunk executor.
@@ -732,19 +735,16 @@ pub fn metrics_json(result: &CampaignResult, meta: &MetricsMeta) -> String {
         json_num(sc.merge_wait_s),
         sc.reorder_peak,
     );
+    // Every resume restores a golden checkpoint: the two cache counters
+    // stay for their readers as zero hits and one miss per resume.
     let ff = &meta.fast_forward;
     let _ = writeln!(
         s,
-        "  \"fast_forward\": {{\"enabled\": {}, \"rtl_resumes\": {}, \
-         \"checkpoint_cache_hits\": {}, \"checkpoint_cache_misses\": {}, \
-         \"checkpoint_cache_evictions\": {}, \"memo_lookups\": {}, \"memo_hits\": {}}},",
-        ff.enabled,
-        ff.rtl_resumes,
-        ff.checkpoint_cache_hits,
-        ff.checkpoint_cache_misses,
-        ff.checkpoint_cache_evictions,
+        "  \"fast_forward\": {{\"rtl_resumes\": {r}, \"checkpoint_cache_hits\": 0, \
+         \"checkpoint_cache_misses\": {r}, \"memo_lookups\": {}, \"memo_hits\": {}}},",
         ff.memo_lookups,
         ff.memo_hits,
+        r = ff.rtl_resumes,
     );
     let _ = writeln!(
         s,
@@ -970,11 +970,7 @@ mod tests {
             runs_per_sec: 682.6,
             host_cpus: 8,
             fast_forward: FastForwardStats {
-                enabled: true,
                 rtl_resumes: 24,
-                checkpoint_cache_hits: 20,
-                checkpoint_cache_misses: 4,
-                checkpoint_cache_evictions: 2,
                 memo_lookups: 50,
                 memo_hits: 26,
             },
@@ -1044,15 +1040,31 @@ mod tests {
             Some(3)
         );
         let ff = doc.get("fast_forward").unwrap();
-        assert_eq!(ff.get("enabled"), Some(&JsonValue::Bool(true)));
+        let JsonValue::Obj(ff_keys) = ff else {
+            panic!("fast_forward is not an object: {ff:?}")
+        };
+        let ff_keys: Vec<&str> = ff_keys.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            ff_keys,
+            [
+                "rtl_resumes",
+                "checkpoint_cache_hits",
+                "checkpoint_cache_misses",
+                "memo_lookups",
+                "memo_hits"
+            ]
+        );
+        assert_eq!(ff.get("rtl_resumes").and_then(JsonValue::as_u64), Some(24));
+        // Every resume restores a golden checkpoint: no cache hits, and
+        // each resume counts as a miss.
         assert_eq!(
             ff.get("checkpoint_cache_hits").and_then(JsonValue::as_u64),
-            Some(20)
+            Some(0)
         );
         assert_eq!(
-            ff.get("checkpoint_cache_evictions")
+            ff.get("checkpoint_cache_misses")
                 .and_then(JsonValue::as_u64),
-            Some(2)
+            Some(24)
         );
         assert_eq!(ff.get("memo_lookups").and_then(JsonValue::as_u64), Some(50));
         assert_eq!(ff.get("memo_hits").and_then(JsonValue::as_u64), Some(26));

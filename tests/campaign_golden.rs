@@ -68,26 +68,20 @@ fn check(strategy: &dyn SamplingStrategy, golden_ssf: u64, golden_var: u64) {
         multi_fault: None,
     };
     for kernel in [CampaignKernel::Compiled, CampaignKernel::Scalar] {
-        for fast_forward in [true, false] {
-            let opts = CampaignOptions {
-                fast_forward,
-                ..CampaignOptions::with_kernel(kernel)
-            };
-            let r = run_campaign_with(&runner, strategy, RUNS, SEED, &opts);
-            assert!(r.ssf.is_finite() && r.sample_variance.is_finite());
-            assert_eq!(
-                (r.ssf.to_bits(), r.sample_variance.to_bits()),
-                (golden_ssf, golden_var),
-                "{} ({kernel:?}, fast_forward {fast_forward}): got ssf {} ({:#018x}), \
-                 variance {:.6e} ({:#018x}) \
-                 — if the sampling streams changed intentionally, re-record the goldens",
-                strategy.name(),
-                r.ssf,
-                r.ssf.to_bits(),
-                r.sample_variance,
-                r.sample_variance.to_bits(),
-            );
-        }
+        let opts = CampaignOptions::with_kernel(kernel);
+        let r = run_campaign_with(&runner, strategy, RUNS, SEED, &opts);
+        assert!(r.ssf.is_finite() && r.sample_variance.is_finite());
+        assert_eq!(
+            (r.ssf.to_bits(), r.sample_variance.to_bits()),
+            (golden_ssf, golden_var),
+            "{} ({kernel:?}): got ssf {} ({:#018x}), variance {:.6e} ({:#018x}) \
+             — if the sampling streams changed intentionally, re-record the goldens",
+            strategy.name(),
+            r.ssf,
+            r.ssf.to_bits(),
+            r.sample_variance,
+            r.sample_variance.to_bits(),
+        );
     }
     // Tracing must be a pure observer: the same campaign run with span
     // recording and provenance capture enabled reproduces the golden bits.
@@ -131,8 +125,8 @@ fn correlation_cone_campaign_matches_golden() {
 }
 
 /// MLMC golden: the multilevel estimator's per-level executors are scalar,
-/// so the same pinned bits must hold under every kernel, fast-forward
-/// setting *and* thread count — and the folded correction term is pinned
+/// so the same pinned bits must hold under every kernel *and* thread
+/// count — and the folded correction term is pinned
 /// alongside the point estimate, so a drift hidden inside the telescoped
 /// sum (level-0 bias moving one way, correction the other) still trips.
 #[test]
@@ -162,36 +156,33 @@ fn mlmc_importance_campaign_matches_golden() {
     const GOLDEN_VAR: u64 = 0x3f7d53b8375bf36d;
     const GOLDEN_MEAN1_DIFF: u64 = 0x0000000000000000;
     for kernel in [CampaignKernel::Compiled, CampaignKernel::Scalar] {
-        for fast_forward in [true, false] {
-            for threads in [1, 4] {
-                let opts = CampaignOptions {
-                    fast_forward,
-                    threads,
-                    estimator: EstimatorKind::Mlmc,
-                    ..CampaignOptions::with_kernel(kernel)
-                };
-                let r = run_campaign_with(&runner, &strategy, RUNS, SEED, &opts);
-                let m = r.mlmc.as_ref().expect("mlmc summary present");
-                assert!(r.ssf.is_finite() && r.sample_variance.is_finite());
-                assert_eq!(
-                    (
-                        r.ssf.to_bits(),
-                        r.sample_variance.to_bits(),
-                        m.mean1_diff.to_bits(),
-                    ),
-                    (GOLDEN_SSF, GOLDEN_VAR, GOLDEN_MEAN1_DIFF),
-                    "mlmc ({kernel:?}, fast_forward {fast_forward}, threads {threads}): \
-                     got ssf {} ({:#018x}), variance {:.6e} ({:#018x}), \
-                     mean1_diff {:.6e} ({:#018x}) \
-                     — if the sampling streams changed intentionally, re-record the goldens",
-                    r.ssf,
+        for threads in [1, 4] {
+            let opts = CampaignOptions {
+                threads,
+                estimator: EstimatorKind::Mlmc,
+                ..CampaignOptions::with_kernel(kernel)
+            };
+            let r = run_campaign_with(&runner, &strategy, RUNS, SEED, &opts);
+            let m = r.mlmc.as_ref().expect("mlmc summary present");
+            assert!(r.ssf.is_finite() && r.sample_variance.is_finite());
+            assert_eq!(
+                (
                     r.ssf.to_bits(),
-                    r.sample_variance,
                     r.sample_variance.to_bits(),
-                    m.mean1_diff,
                     m.mean1_diff.to_bits(),
-                );
-            }
+                ),
+                (GOLDEN_SSF, GOLDEN_VAR, GOLDEN_MEAN1_DIFF),
+                "mlmc ({kernel:?}, threads {threads}): \
+                 got ssf {} ({:#018x}), variance {:.6e} ({:#018x}), \
+                 mean1_diff {:.6e} ({:#018x}) \
+                 — if the sampling streams changed intentionally, re-record the goldens",
+                r.ssf,
+                r.ssf.to_bits(),
+                r.sample_variance,
+                r.sample_variance.to_bits(),
+                m.mean1_diff,
+                m.mean1_diff.to_bits(),
+            );
         }
     }
 }

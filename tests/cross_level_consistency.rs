@@ -164,12 +164,12 @@ fn responding_signal_suppression_is_the_canonical_attack() {
 /// All three levels of the estimator hierarchy pinned against each other on
 /// one batch of coupled campaign runs: the analytic level-0 multi-SEU
 /// verdict (SetToSeuMap, no netlist), the run-to-halt RTL resume, and the
-/// gate-accurate fast-forward flow. Two invariants hold for every run, and
-/// a violation fails with the full per-level diff table rather than a bare
+/// gate-accurate coupled flow. Two invariants hold for every run, and a
+/// violation fails with the full per-level diff table rather than a bare
 /// assert:
 ///
-/// 1. gate (fast-forward) == RTL (run-to-halt): fast-forward is an exact
-///    scheduling optimization, never an approximation;
+/// 1. gate (coupled) == RTL (run-to-halt on its own worker scratch): the
+///    coupling and the worker's memo are exact, never an approximation;
 /// 2. analytic == gate wherever the map declares the sample exactly
 ///    representable — the runs whose MLMC correction term is provably zero.
 #[test]
@@ -208,7 +208,6 @@ fn three_level_verdict_matrix_stays_pinned() {
     };
     let mut coupled = FlowScratch::default();
     let mut halt = FlowScratch::default();
-    halt.set_fast_forward(false);
 
     struct Row {
         run: u64,
