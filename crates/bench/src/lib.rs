@@ -2,8 +2,9 @@
 //!
 //! One binary per table/figure of the paper's evaluation section (§6) lives
 //! under `src/bin`; this library holds the shared experiment context and
-//! small report-formatting helpers. Criterion micro-benchmarks of the hot
-//! kernels live under `benches/`.
+//! small report-formatting helpers. `bench_campaign` is the CI smoke gate
+//! (kernel throughput and cross-configuration result equality); the
+//! performance record is the time-to-answer benchmark in `perfbench/`.
 //!
 //! | Binary | Reproduces |
 //! |---|---|
@@ -127,6 +128,21 @@ pub fn tagged_path(path: &Path, tag: &str) -> PathBuf {
     path.with_file_name(format!("{stem}.{tag}.{ext}"))
 }
 
+/// `opts` with every output path (`--metrics`, `--checkpoint`, `--trace`,
+/// `--events`, `--prom`) tagged by [`tagged_path`], so the campaigns of
+/// one process neither clobber nor cross-resume each other's files.
+pub fn tagged_options(opts: &CampaignOptions, tag: &str) -> CampaignOptions {
+    let tag_path = |p: &Option<PathBuf>| p.as_deref().map(|p| tagged_path(p, tag));
+    CampaignOptions {
+        metrics_path: tag_path(&opts.metrics_path),
+        checkpoint_path: tag_path(&opts.checkpoint_path),
+        trace_path: tag_path(&opts.trace_path),
+        events_path: tag_path(&opts.events_path),
+        prom_path: tag_path(&opts.prom_path),
+        ..opts.clone()
+    }
+}
+
 /// Run one campaign with the harness's standard observability: a
 /// rate-limited stderr progress line, plus whatever `--metrics` /
 /// `--checkpoint` / `--target-eps` flags the options carry. Binaries that
@@ -142,23 +158,8 @@ pub fn run_observed_campaign(
     opts: &CampaignOptions,
     tag: &str,
 ) -> CampaignResult {
-    let mut opts = opts.clone();
     let tag = format!("{tag}-{}", strategy.name());
-    if let Some(p) = &opts.metrics_path {
-        opts.metrics_path = Some(tagged_path(p, &tag));
-    }
-    if let Some(p) = &opts.checkpoint_path {
-        opts.checkpoint_path = Some(tagged_path(p, &tag));
-    }
-    if let Some(p) = &opts.trace_path {
-        opts.trace_path = Some(tagged_path(p, &tag));
-    }
-    if let Some(p) = &opts.events_path {
-        opts.events_path = Some(tagged_path(p, &tag));
-    }
-    if let Some(p) = &opts.prom_path {
-        opts.prom_path = Some(tagged_path(p, &tag));
-    }
+    let opts = tagged_options(opts, &tag);
     let mut progress = StderrProgress::new(tag);
     run_campaign_observed(runner, strategy, n, seed, &opts, &mut progress)
 }
@@ -222,6 +223,26 @@ mod tests {
             tagged_path(Path::new("ck"), "a-b"),
             Path::new("ck.a-b.json")
         );
+    }
+
+    #[test]
+    fn tagged_options_tags_every_output_path_and_nothing_else() {
+        let opts = CampaignOptions {
+            threads: 3,
+            metrics_path: Some("out/m.json".into()),
+            checkpoint_path: Some("out/ck.json".into()),
+            trace_path: Some("out/trace.json".into()),
+            events_path: Some("out/ev.jsonl".into()),
+            prom_path: None,
+            ..CampaignOptions::default()
+        };
+        let tagged = tagged_options(&opts, "row");
+        assert_eq!(tagged.threads, 3);
+        assert_eq!(tagged.metrics_path, Some("out/m.row.json".into()));
+        assert_eq!(tagged.checkpoint_path, Some("out/ck.row.json".into()));
+        assert_eq!(tagged.trace_path, Some("out/trace.row.json".into()));
+        assert_eq!(tagged.events_path, Some("out/ev.row.jsonl".into()));
+        assert_eq!(tagged.prom_path, None);
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! CLI contract for the campaign-engine flags every figure binary shares:
-//! an invalid value is a readable error and exit status 2, before any
-//! model is built — never a silently kept default.
+//! an invalid value or an unknown flag is a readable error and exit
+//! status 2, before any model is built — never a silently kept default.
 
 use std::process::{Command, Output};
 
-fn fig04(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fig04_characterization"))
+fn run(exe: &str, args: &[&str]) -> Output {
+    Command::new(exe)
         .args(args)
         .output()
-        .expect("spawn fig04_characterization")
+        .unwrap_or_else(|e| panic!("spawn {exe}: {e}"))
+}
+
+fn fig04(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_fig04_characterization"), args)
 }
 
 /// `batched` names the removed 64-lane kernel: it is an unknown kernel
@@ -46,6 +50,35 @@ fn removed_fast_forward_flag_exits_2_with_a_typed_error() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {err}");
         assert!(
             err.contains("error: --fast-forward was removed"),
+            "{args:?}: unreadable message: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: panicked: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+    }
+}
+
+/// A misspelled engine flag must not run with the defaults (`--thraeds 4`
+/// would run single-threaded). `bench_campaign` always runs its smoke
+/// gates, so `--smoke` is unknown to it like any other flag;
+/// `--bench-json` is its only flag of its own.
+#[test]
+fn unknown_flag_exits_2_with_a_typed_error() {
+    for (exe, args) in [
+        (
+            env!("CARGO_BIN_EXE_fig04_characterization"),
+            &["--thraeds", "4"][..],
+        ),
+        (env!("CARGO_BIN_EXE_bench_campaign"), &["--smoke"][..]),
+        (
+            env!("CARGO_BIN_EXE_bench_campaign"),
+            &["--bench-json", "/dev/null", "--smoke"][..],
+        ),
+    ] {
+        let out = run(exe, args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {err}");
+        assert!(
+            err.contains("error: unknown flag"),
             "{args:?}: unreadable message: {err}"
         );
         assert!(!err.contains("panicked"), "{args:?}: panicked: {err}");

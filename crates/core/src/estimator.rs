@@ -347,11 +347,17 @@ impl CampaignOptions {
     }
 
     /// Parse the engine flags from the process arguments (used by the
-    /// figure binaries); anything unrecognized is left for the caller.
-    /// `--help`/`-h` prints the flag table and exits 0; an invalid value
-    /// for a recognized flag prints an error and exits with status 2.
+    /// figure binaries). `--help`/`-h` prints the flag table and exits 0;
+    /// an unknown flag or an invalid value prints an error and exits with
+    /// status 2.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::from_arg_list(std::env::args().skip(1).collect())
+    }
+
+    /// [`from_args`](Self::from_args) over an explicit argument list: a
+    /// binary with flags of its own takes them out of the process
+    /// arguments and passes the rest here.
+    pub fn from_arg_list(args: Vec<String>) -> Self {
         if args.iter().any(|a| a == "--help" || a == "-h") {
             println!("{}", Self::usage());
             std::process::exit(0);
@@ -422,7 +428,8 @@ impl CampaignOptions {
             "                         tracing and check its verdict against the\n",
             "                         campaign's provenance record\n",
             "  --help, -h             print this table and exit\n",
-            "Flags the engine does not own are left for the binary itself.",
+            "Any other argument is an error (exit 2); a binary with flags of its\n",
+            "own takes them out before the engine parses the rest.",
         )
         .to_owned()
     }
@@ -431,8 +438,9 @@ impl CampaignOptions {
     /// scalar|compiled`, `--target-eps X`, `--target-confidence C`,
     /// `--metrics PATH`, `--checkpoint PATH`, `--checkpoint-every N`,
     /// `--trace PATH`, `--replay N` (each also accepting the `--flag=value`
-    /// spelling) — from an argument list, skipping flags it does not own.
-    /// The removed `--fast-forward` is an error, not a skipped flag.
+    /// spelling) — from an argument list. Any argument it does not own is
+    /// an error, so a misspelled flag never runs with its default; the
+    /// removed `--fast-forward` gets its own message.
     pub fn parse_args<I>(args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = String>,
@@ -452,7 +460,7 @@ impl CampaignOptions {
                 );
             }
             if !Self::VALUE_FLAGS.contains(&flag.as_str()) {
-                continue;
+                return Err(format!("unknown flag {flag:?} (see --help)"));
             }
             let value = inline
                 .take()
@@ -2377,8 +2385,6 @@ mod tests {
             "--checkpoint=ck.json",
             "--checkpoint-every",
             "2048",
-            "--some-caller-flag",
-            "5000",
         ]))
         .unwrap();
         assert_eq!(opts.target_eps, Some(0.01));
@@ -2413,6 +2419,23 @@ mod tests {
         assert!(CampaignOptions::parse_args(args(&["--trace"])).is_err());
     }
 
+    /// A flag the engine does not own is an error, not a skipped
+    /// argument, so a misspelled `--thraeds 4` never runs single-threaded.
+    #[test]
+    fn unknown_flags_are_an_error_not_skipped() {
+        for argv in [
+            args(&["--thraeds", "4"]),
+            args(&["--threads", "2", "--smoke"]),
+            args(&["--bench-json=out/bench.json"]),
+            args(&["positional"]),
+        ] {
+            let err = CampaignOptions::parse_args(argv.clone()).unwrap_err();
+            assert!(err.starts_with("unknown flag"), "argv {argv:?}: {err}");
+        }
+        let err = CampaignOptions::parse_args(args(&["--thraeds", "4"])).unwrap_err();
+        assert!(err.contains("--thraeds"), "{err}");
+    }
+
     #[test]
     fn usage_mentions_every_value_flag() {
         let usage = CampaignOptions::usage();
@@ -2423,8 +2446,7 @@ mod tests {
     }
 
     /// The inverse contract: every value flag the help table advertises is
-    /// actually accepted by the parser (an unknown flag would be skipped
-    /// and its value consumed as a positional by the caller).
+    /// actually accepted by the parser (an unknown flag is an error).
     #[test]
     fn every_value_flag_round_trips_through_the_parser() {
         for &flag in CampaignOptions::VALUE_FLAGS {
